@@ -14,12 +14,15 @@
 //              all at full tilt);
 //   burst    — repeated barrier + wide fan-out on one handle: with 8
 //              identical CPUs and identical task costs, completions land
-//              8-at-a-time on identical timestamps, the stress case for
-//              the batched completion drain (EventQueue::drain_ready).
+//              8-at-a-time on identical timestamps, so the event queue's
+//              FIFO tie-break and the per-completion scheduler pump run
+//              on every event.
 //
 // Host wall-clock is the measurand (simulated results stay seed-exact;
-// checked by the determinism suites, not here). Emits BENCH_core.json so
-// the throughput trajectory is tracked across PRs (tools/bench_diff.py
+// checked by the determinism suites, not here). Each (shape, size) runs
+// 5 times (once under --smoke); its row is the median run, with the
+// tasks/s min and max across the repeats. Emits BENCH_core.json so the
+// throughput trajectory is tracked across PRs (tools/bench_diff.py
 // compares two such files).
 //
 // Usage: bench_core_overhead [--smoke] [--tasks N[,N...]]
@@ -34,6 +37,7 @@
 //               recorded BENCH_core.json runs keep them off.
 //
 // hetflow-lint: allow-file(det-wallclock)  — wall time is the measurand
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -65,9 +69,6 @@ core::RuntimeOptions lean_options(std::size_t expected_tasks = 0,
   core::RuntimeOptions options;
   options.record_trace = false;      // measuring the runtime, not the tracer
   options.use_history_model = false; // static cost model only
-  // The throughput configuration this bench exists to track: one
-  // scheduler probe per completion batch instead of per event.
-  options.batch_completions = true;
   // Capacity hints: generators know their exact task/handle counts, so
   // the pools are pre-faulted in the (untimed) constructor — the timed
   // region measures steady-state per-task cost, not one-time allocation.
@@ -96,6 +97,11 @@ struct ShapeResult {
   std::uint64_t events = 0;
   std::size_t peak_pending = 0;
   std::uint64_t completed = 0;
+  /// Runs behind this row (the row itself is the median run by total
+  /// time) and the tasks/s range across them.
+  std::size_t repeats = 1;
+  double tasks_per_s_min = 0.0;
+  double tasks_per_s_max = 0.0;
 
   double total_s() const { return submit_s + run_s; }
   double tasks_per_s() const {
@@ -219,9 +225,8 @@ ShapeResult run_layered(const hw::Platform& platform, std::size_t n,
 /// burst: repeated (barrier RW, W readers) rounds on a single handle.
 /// Every reader in a round has identical cost and the preset CPUs are
 /// identical, so one completion event fires per device at the exact same
-/// timestamp — the event queue spends the whole run in same-time batches
-/// and the batched drain (drain_ready + one scheduler probe per batch)
-/// is what separates it from the per-event path.
+/// timestamp — the event queue spends the whole run breaking same-time
+/// ties, and each completion pumps every device's scheduler.
 ShapeResult run_burst(const hw::Platform& platform, std::size_t n,
                       std::size_t width = 512) {
   core::Runtime rt(platform, sched::make_scheduler("eager"),
@@ -253,6 +258,29 @@ ShapeResult run_burst(const hw::Platform& platform, std::size_t n,
   return out;
 }
 
+/// Runs `measure` `repeats` times and returns the median run by total
+/// time, carrying the tasks/s range and the smallest completion count
+/// over all runs (so one short run still fails the exact-count check).
+template <typename Measure>
+ShapeResult median_of(std::size_t repeats, Measure measure) {
+  std::vector<ShapeResult> runs;
+  for (std::size_t i = 0; i < repeats; ++i) {
+    runs.push_back(measure());
+  }
+  std::sort(runs.begin(), runs.end(),
+            [](const ShapeResult& a, const ShapeResult& b) {
+              return a.total_s() < b.total_s();
+            });
+  ShapeResult median = runs[runs.size() / 2];
+  median.repeats = repeats;
+  median.tasks_per_s_min = runs.back().tasks_per_s();
+  median.tasks_per_s_max = runs.front().tasks_per_s();
+  for (const ShapeResult& run : runs) {
+    median.completed = std::min(median.completed, run.completed);
+  }
+  return median;
+}
+
 util::Json to_json(const ShapeResult& r) {
   util::Json row = util::Json::object();
   row["shape"] = r.shape;
@@ -261,6 +289,9 @@ util::Json to_json(const ShapeResult& r) {
   row["run_s"] = r.run_s;
   row["total_s"] = r.total_s();
   row["tasks_per_s"] = r.tasks_per_s();
+  row["repeats"] = r.repeats;
+  row["tasks_per_s_min"] = r.tasks_per_s_min;
+  row["tasks_per_s_max"] = r.tasks_per_s_max;
   row["events_executed"] = static_cast<std::size_t>(r.events);
   row["event_peak_pending"] = r.peak_pending;
   return row;
@@ -301,8 +332,10 @@ int main(int argc, char** argv) {
                "submit -> release -> schedule -> complete ===\n\n";
 
   const hw::Platform platform = hw::make_cpu_only(8);
+  // Smoke runs are a sanity check, not a measurement: one run each.
+  const std::size_t repeats = smoke ? 1 : 5;
   util::Table table({"shape", "tasks", "submit s", "run s", "total s",
-                     "tasks/s", "events"});
+                     "tasks/s", "min", "max", "events"});
   util::Json runs = util::Json::array();
   bool ok = true;
 
@@ -311,10 +344,22 @@ int main(int argc, char** argv) {
     return shape_filter.empty() || shape_filter == name;
   };
   for (std::size_t n : sizes) {
-    if (wanted("chain")) results.push_back(run_chain(platform, n));
-    if (wanted("fanout")) results.push_back(run_fanout(platform, n));
-    if (wanted("layered")) results.push_back(run_layered(platform, n));
-    if (wanted("burst")) results.push_back(run_burst(platform, n));
+    if (wanted("chain")) {
+      results.push_back(
+          median_of(repeats, [&] { return run_chain(platform, n); }));
+    }
+    if (wanted("fanout")) {
+      results.push_back(
+          median_of(repeats, [&] { return run_fanout(platform, n); }));
+    }
+    if (wanted("layered")) {
+      results.push_back(
+          median_of(repeats, [&] { return run_layered(platform, n); }));
+    }
+    if (wanted("burst")) {
+      results.push_back(
+          median_of(repeats, [&] { return run_burst(platform, n); }));
+    }
   }
   for (const ShapeResult& r : results) {
     // Every submitted task must have completed: a silent loss at scale is
@@ -330,6 +375,8 @@ int main(int argc, char** argv) {
                    util::format("%.3f", r.run_s),
                    util::format("%.3f", r.total_s()),
                    util::format("%.0f", r.tasks_per_s()),
+                   util::format("%.0f", r.tasks_per_s_min),
+                   util::format("%.0f", r.tasks_per_s_max),
                    std::to_string(r.events)});
     runs.push_back(to_json(r));
   }

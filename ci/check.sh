@@ -13,7 +13,8 @@
 #   5. cluster smoke: a 4-node cluster run through two-level
 #      scheduling with a mid-run node kill, --validate (full audit +
 #      inter-node directory invariants) and --metrics, for both
-#      placement policies, plus bench_cluster_scaling --smoke
+#      placement policies, plus bench_cluster_scaling --smoke and the
+#      hetflow_run --chrome-trace -> hetflow_check --trace round trip
 #   6. rebuild with HETFLOW_SANITIZE=address,undefined and run the full
 #      suite again under the sanitizers (including the serve smoke)
 #   7. rebuild with HETFLOW_SANITIZE=thread and run the parallel-sweep,
@@ -56,8 +57,8 @@ echo "=== [3/10] core-overhead bench smoke (10^4 tasks) ==="
 # non-zero on zero throughput, a failed count cross-check, or a blown
 # HEFT time bound. --validate + --metrics run the exact bench workloads
 # through the end-of-run audit and the observability layer, so the
-# batched completion drain and the cost-model cache are exercised with
-# every checker watching. Run from build-ci/bench: the bench writes
+# completion path and the cost-model cache are exercised with every
+# checker watching. Run from build-ci/bench: the bench writes
 # BENCH_core.json into its cwd and the committed copy at the repo root
 # (full 10^5/10^6 runs on an idle machine) must not be clobbered by
 # smoke numbers.
@@ -92,6 +93,12 @@ done
 build-ci/tools/hetflow_run --workflow cybershake:4,20 --platform cluster:4,4,1 \
     --sched cluster:eager --node-fail 0.05@0 --validate > /dev/null
 (cd build-ci/bench && ./bench_cluster_scaling --smoke > /dev/null)
+# Trace round trip: the merged Chrome trace of a fault-injected and of a
+# cluster run must audit clean offline, and a doctored trace / audit must
+# fail naming the span. Also a ctest, so stage 6 repeats it under
+# ASan/UBSan.
+cmake -DRUN=build-ci/tools/hetflow_run -DCHECK=build-ci/tools/hetflow_check \
+      -DOUT=build-ci/trace_roundtrip -P tests/trace_roundtrip.cmake
 
 echo "=== [6/11] ctest (ASan + UBSan) ==="
 # The full suite runs sanitized, which covers the retry/timeout/blacklist

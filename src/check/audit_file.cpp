@@ -1,8 +1,10 @@
 #include "check/audit_file.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
+#include "obs/chrome_trace.hpp"
 #include "util/json.hpp"
 #include "util/strings.hpp"
 
@@ -30,29 +32,12 @@ data::AccessMode parse_mode(const std::string& tag) {
   throw ParseError("unknown access mode '" + tag + "'");
 }
 
-const char* kind_tag(trace::SpanKind kind) {
-  switch (kind) {
-    case trace::SpanKind::Exec:
-      return "exec";
-    case trace::SpanKind::FailedExec:
-      return "failed";
-    case trace::SpanKind::Overhead:
-      return "overhead";
-  }
-  return "exec";
-}
-
 trace::SpanKind parse_kind(const std::string& tag) {
-  if (tag == "exec") {
-    return trace::SpanKind::Exec;
+  const std::optional<trace::SpanKind> kind = trace::span_kind_from_string(tag);
+  if (!kind.has_value()) {
+    throw ParseError("unknown span kind '" + tag + "'");
   }
-  if (tag == "failed") {
-    return trace::SpanKind::FailedExec;
-  }
-  if (tag == "overhead") {
-    return trace::SpanKind::Overhead;
-  }
-  throw ParseError("unknown span kind '" + tag + "'");
+  return *kind;
 }
 
 char state_tag(data::ReplicaState state) {
@@ -89,6 +74,16 @@ std::vector<T> parse_number_array(const util::Json& json) {
     out.push_back(static_cast<T>(value.as_number()));
   }
   return out;
+}
+
+/// The Chrome-trace event's tid as a row index (ParseError unless it is a
+/// number in [0, 2^32)).
+std::uint32_t tid_of(const util::Json& event) {
+  const double tid = event.at("tid").as_number();
+  if (!(tid >= 0.0 && tid < 4294967296.0)) {
+    throw ParseError(util::format("Chrome trace tid %g out of range", tid));
+  }
+  return static_cast<std::uint32_t>(tid);
 }
 
 }  // namespace
@@ -131,7 +126,7 @@ std::string to_audit_json(const AuditRecord& record) {
     entry["device"] = static_cast<std::int64_t>(span.device);
     entry["start"] = span.start;
     entry["end"] = span.end;
-    entry["kind"] = kind_tag(span.kind);
+    entry["kind"] = trace::to_string(span.kind);
     spans.push_back(std::move(entry));
   }
   run["spans"] = std::move(spans);
@@ -202,7 +197,7 @@ AuditRecord parse_audit_json(const std::string& text) {
     span.start = entry.at("start").as_number();
     span.end = entry.at("end").as_number();
     span.kind = parse_kind(entry.at("kind").as_string());
-    record.run.spans.push_back(std::move(span));
+    record.run.add_owned_span(span);
   }
 
   const util::Json& directory = doc.at("directory");
@@ -228,6 +223,47 @@ AuditRecord parse_audit_json(const std::string& text) {
     record.directory.states.push_back(parse_state(tag));
   }
   return record;
+}
+
+RunRecord parse_chrome_trace(const std::string& text) {
+  const util::Json doc = util::Json::parse(text);
+  if (!doc.is_object() || !doc.contains("traceEvents")) {
+    throw ParseError("not a Chrome trace (missing traceEvents)");
+  }
+  RunRecord run;
+  std::size_t span_devices = 0;
+  for (const util::Json& event : doc.at("traceEvents").as_array()) {
+    const std::string& ph = event.at("ph").as_string();
+    if (ph == "M") {
+      if (event.at("name").as_string() == "thread_name") {
+        const std::uint32_t tid = tid_of(event);
+        if (tid < obs::kTransferTidBase) {  // a device row
+          run.device_count = std::max(run.device_count, std::size_t{tid} + 1);
+        }
+      }
+      continue;
+    }
+    if (ph != "X" || !event.contains("args") ||
+        !event.at("args").contains("kind")) {
+      continue;  // instants, flow arrows, transfer tracks
+    }
+    const util::Json& args = event.at("args");
+    trace::Span span;
+    span.name = event.at("name").as_string();
+    span.device = tid_of(event);
+    span.start = event.at("ts").as_number() / 1e6;
+    span.end = span.start + event.at("dur").as_number() / 1e6;
+    if (args.contains("task")) {
+      span.task_id = static_cast<std::uint64_t>(args.at("task").as_number());
+    }
+    span.kind = parse_kind(args.at("kind").as_string());
+    span_devices = std::max(span_devices, std::size_t{span.device} + 1);
+    run.add_owned_span(span);
+  }
+  if (run.device_count == 0) {
+    run.device_count = span_devices;
+  }
+  return run;
 }
 
 void save_audit(const AuditRecord& record, const std::string& path) {

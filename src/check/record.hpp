@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "data/coherence.hpp"
 #include "sim/event_queue.hpp"
 #include "trace/tracer.hpp"
+#include "util/interner.hpp"
 
 namespace hetflow::check {
 
@@ -45,6 +47,21 @@ struct RunRecord {
   /// Tracer spans in emission (completion) order; may be empty when the
   /// run was executed with tracing disabled.
   std::vector<trace::Span> spans;
+  /// Owns the names of spans parsed from disk (add_owned_span); shared so
+  /// every copy of the record keeps them alive. Null for snapshots of a
+  /// live runtime, whose interner owns the names and must outlive them.
+  std::shared_ptr<util::StringInterner> span_names;
+
+  /// Appends `span` with its name copied into span_names, so the view no
+  /// longer borrows from the caller's (e.g. a parsed JSON document's)
+  /// storage.
+  void add_owned_span(trace::Span span) {
+    if (!span_names) {
+      span_names = std::make_shared<util::StringInterner>();
+    }
+    span.name = span_names->intern_view(span.name);
+    spans.push_back(span);
+  }
 
   std::size_t handle_count() const noexcept { return handle_bytes.size(); }
 };

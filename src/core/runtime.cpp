@@ -476,20 +476,9 @@ sim::SimTime Runtime::wait_all() {
           .time_weighted("event_queue_depth")
           .update(queue_.now(), static_cast<double>(queue_.pending()));
     }
-    // Batched mode drains the whole same-timestamp completion batch and
-    // pumps the schedulers once at its end (request_pump defers the
-    // per-completion pump_all into pump_deferred_); legacy mode steps
-    // one event and pumps inside the callback as before.
-    const bool ran = options_.batch_completions ? queue_.drain_ready() > 0
-                                                : queue_.step();
-    if (!ready_batch_.empty()) {
-      flush_ready_batch();
-    }
-    if (pump_deferred_) {
-      pump_deferred_ = false;
-      pump_all();
-    }
-    if (!ran) {
+    // One event per step; completions pump the schedulers inside their
+    // callback.
+    if (!queue_.step()) {
       // Drained with work outstanding: give pull-mode schedulers one more
       // chance, then declare deadlock.
       pump_all();
@@ -532,7 +521,7 @@ void Runtime::ready_or_defer(Task& task) {
       deferred_.erase(task.id());
       if (task.state() == TaskState::Submitted) {
         make_ready(task);
-        request_pump();
+        pump_all();
       }
     });
     return;
@@ -587,38 +576,6 @@ void Runtime::pump_all() {
   for (hw::DeviceId id = 0; id < device_states_.size(); ++id) {
     pump_device(id);
   }
-}
-
-void Runtime::request_pump() {
-  if (options_.batch_completions) {
-    // Inside a drain batch: wait_all() pumps once after the whole
-    // same-timestamp batch has been processed.
-    pump_deferred_ = true;
-    return;
-  }
-  pump_all();
-}
-
-void Runtime::flush_ready_batch() {
-  // Two concerns meet here. Correctness: a fail/abandon event later in
-  // the same drained batch may have doomed an id recorded earlier, so
-  // each task is re-checked against the dense state mirror. Throughput:
-  // the Ready transition is the first touch of a Task object placed at
-  // the whim of submission order, so the batch is walked with the
-  // objects prefetched a few iterations ahead — scattered stalls become
-  // pipelined misses.
-  constexpr std::size_t kPrefetchAhead = 8;
-  for (std::size_t i = 0; i < ready_batch_.size(); ++i) {
-    if (i + kPrefetchAhead < ready_batch_.size()) {
-      util::prefetch_range_write(&tasks_[ready_batch_[i + kPrefetchAhead]],
-                                 sizeof(Task));
-    }
-    const TaskId id = ready_batch_[i];
-    if (task_states_[id] == TaskState::Submitted) {
-      ready_or_defer(tasks_[id]);
-    }
-  }
-  ready_batch_.clear();
 }
 
 void Runtime::pump_device(hw::DeviceId id) {
@@ -918,15 +875,7 @@ void Runtime::finish_task(Task& task, hw::DeviceId id, sim::SimTime started,
       std::uint32_t& open = deps_open_[dependent_id];
       HETFLOW_REQUIRE(open > 0);
       if (--open == 0 && task_states_[dependent_id] == TaskState::Submitted) {
-        if (options_.batch_completions) {
-          // Deferred like the pump: the ids accumulate over the drained
-          // batch and flush_ready_batch() releases them together, so the
-          // scattered Task objects can be prefetched ahead. Same release
-          // order; the scheduler just sees the batch's completions first.
-          ready_batch_.push_back(dependent_id);
-        } else {
-          ready_or_defer(tasks_[dependent_id]);
-        }
+        ready_or_defer(tasks_[dependent_id]);
       }
     }
   }
@@ -950,7 +899,7 @@ void Runtime::finish_task(Task& task, hw::DeviceId id, sim::SimTime started,
       release_parked();
     }
   }
-  request_pump();
+  pump_all();
 }
 
 void Runtime::fail_task(Task& task, hw::DeviceId id, sim::SimTime started,
@@ -1000,7 +949,7 @@ void Runtime::recover_attempt(Task& task, hw::DeviceId id) {
   if (options_.retry.on_exhausted == ExhaustionPolicy::Drop &&
       task.attempts() >= effective_max_attempts()) {
     abandon_task(task);
-    request_pump();
+    pump_all();
     return;
   }
 
@@ -1015,7 +964,7 @@ void Runtime::recover_attempt(Task& task, hw::DeviceId id) {
   }
   if (delay <= 0.0) {
     requeue_attempt(task, id);
-    request_pump();
+    pump_all();
     return;
   }
   set_task_state(task, TaskState::Ready);  // in backoff limbo, owned by no queue
@@ -1024,7 +973,7 @@ void Runtime::recover_attempt(Task& task, hw::DeviceId id) {
       return;  // abandoned while backing off
     }
     requeue_attempt(task, id);
-    request_pump();
+    pump_all();
   });
 }
 
@@ -1313,7 +1262,7 @@ void Runtime::fail_node(const NodeFault& fault) {
       }
     }));
   }
-  request_pump();
+  pump_all();
 }
 
 void Runtime::recover_datum(data::DataId data) {

@@ -9,20 +9,6 @@ namespace hetflow::obs {
 
 namespace {
 
-constexpr std::int64_t kTransferTidBase = 1000;
-
-const char* span_kind_name(trace::SpanKind kind) noexcept {
-  switch (kind) {
-    case trace::SpanKind::Exec:
-      return "exec";
-    case trace::SpanKind::FailedExec:
-      return "failed";
-    case trace::SpanKind::Overhead:
-      return "overhead";
-  }
-  return "?";
-}
-
 util::Json thread_name_meta(std::int64_t tid, const std::string& name) {
   util::Json meta = util::Json::object();
   meta["ph"] = "M";
@@ -87,8 +73,9 @@ std::string chrome_trace_json(const trace::Tracer& tracer,
     }
   }
 
-  // Execution spans (identical shape to the legacy exporter).
-  // Remember each task's first successful span for decision flows.
+  // Execution spans: "X" events on the device's row, args.kind tells
+  // exec from failed. Remember each task's first successful span for
+  // decision flows.
   std::unordered_map<std::uint64_t, const trace::Span*> first_exec;
   for (const trace::Span& span : tracer.spans()) {
     if (span.kind == trace::SpanKind::Exec &&
@@ -104,7 +91,7 @@ std::string chrome_trace_json(const trace::Tracer& tracer,
     event["dur"] = span.duration() * 1e6;
     util::Json args = util::Json::object();
     args["task"] = static_cast<std::int64_t>(span.task_id);
-    args["kind"] = span_kind_name(span.kind);
+    args["kind"] = trace::to_string(span.kind);
     event["args"] = std::move(args);
     events.push_back(std::move(event));
   }

@@ -15,6 +15,7 @@
 // there" across tracks.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "hw/platform.hpp"
@@ -23,8 +24,11 @@
 
 namespace hetflow::obs {
 
+/// First tid of the transfer tracks; device rows sit below it.
+inline constexpr std::int64_t kTransferTidBase = 1000;
+
 /// Serializes the merged trace. `recorder` may be null — the output then
-/// degrades to the legacy span-only document (plus process metadata).
+/// holds only the metadata rows and the execution spans.
 std::string chrome_trace_json(const trace::Tracer& tracer,
                               const hw::Platform& platform,
                               const Recorder* recorder);

@@ -67,16 +67,6 @@ class EventQueue {
   /// Executes exactly one event if available. Returns false on empty.
   bool step();
 
-  /// Executes every event sharing the earliest pending timestamp — the
-  /// same-time completion batch — and returns how many ran (0 iff no
-  /// live event is pending). Events scheduled *during* the drain at that
-  /// same timestamp join the batch, and ordering is identical to calling
-  /// step() repeatedly (FIFO by sequence number), so a full run via
-  /// drain_ready() executes the exact event sequence step() would. What
-  /// changes is the caller's batching opportunity: the runtime defers
-  /// scheduler pumps to once per drained batch (docs/performance.md).
-  std::size_t drain_ready();
-
   bool empty() const noexcept { return live_events_ == 0; }
   std::size_t pending() const noexcept { return live_events_; }
   /// Largest number of live events ever pending at once (observability:

@@ -1,9 +1,10 @@
 // Execution tracing: every task execution (and failed attempt) becomes a
-// span; exports to Chrome trace-event JSON (load in chrome://tracing or
-// Perfetto) and to a quick ASCII Gantt for terminals.
+// span; renders a quick ASCII Gantt for terminals. The Chrome trace-event
+// export lives in obs/chrome_trace.hpp.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,6 +15,12 @@
 namespace hetflow::trace {
 
 enum class SpanKind : std::uint8_t { Exec = 0, FailedExec, Overhead };
+
+/// "exec" / "failed" / "overhead": the tag both on-disk formats (Chrome
+/// trace args.kind, audit files) carry.
+const char* to_string(SpanKind kind) noexcept;
+/// Inverse of to_string; nullopt for an unknown tag.
+std::optional<SpanKind> span_kind_from_string(std::string_view tag) noexcept;
 
 struct Span {
   std::uint64_t task_id = 0;
@@ -39,9 +46,6 @@ class Tracer {
   void add(Span span);
   const std::vector<Span>& spans() const noexcept { return spans_; }
   void clear() { spans_.clear(); }
-
-  /// Chrome trace-event format ("X" complete events, one row per device).
-  std::string to_chrome_json(const hw::Platform& platform) const;
 
   /// Terminal Gantt chart: one row per device, `width` characters across
   /// the makespan. '#' = executing, 'x' = failed attempt.

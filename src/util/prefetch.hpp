@@ -35,12 +35,4 @@ inline void prefetch_range_read(const void* addr, std::size_t bytes) noexcept {
   }
 }
 
-/// Prefetches every line of [addr, addr + bytes) with intent to write.
-inline void prefetch_range_write(const void* addr, std::size_t bytes) noexcept {
-  const char* p = static_cast<const char*>(addr);
-  for (std::size_t off = 0; off < bytes; off += 64) {
-    prefetch_write(p + off);
-  }
-}
-
 }  // namespace hetflow::util

@@ -4,10 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "check/audit_file.hpp"
 #include "helpers.hpp"
+#include "obs/chrome_trace.hpp"
 #include "sched/mct.hpp"
+#include "sched/registry.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
+#include "workflow/generators.hpp"
+#include "workflow/workflow.hpp"
 
 namespace hetflow::check {
 namespace {
@@ -178,6 +185,103 @@ TEST(RuntimeAudit, CorruptedSnapshotIsCaughtNotVacuouslyAccepted) {
     found |= violation.kind == ViolationKind::ConflictingOverlap;
   }
   EXPECT_TRUE(found);
+}
+
+// --- span loaders: the offline --trace / --audit inputs ------------------
+
+/// Longer than any small-string buffer, so the name lives on the heap and
+/// a view into a destroyed parse buffer is a use-after-free ASan reports.
+constexpr const char* kDoctoredName = "doctored-span-ends-before-it-starts";
+
+bool names_span(const std::vector<Violation>& violations) {
+  for (const Violation& violation : violations) {
+    if (violation.message.find(kDoctoredName) != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(ChromeTraceLoader, MergedTraceOfFaultyGpuRunReadsBackClean) {
+  // Failed spans, transfer tracks, instants and decision flows all in one
+  // document: only the exec/failed spans come back, in emission order.
+  const hw::Platform p = hw::make_hpc_node(4, 2, 0);
+  core::RuntimeOptions options;
+  options.metrics = true;
+  options.seed = 3;
+  options.failure_model = hw::FailureModel::uniform(5.0);
+  core::Runtime rt(p, sched::make_scheduler("dmda", options.seed), options);
+  workflow::submit_workflow(rt, workflow::make_montage(16),
+                            workflow::CodeletLibrary::standard());
+  rt.wait_all();
+  const std::string json =
+      obs::chrome_trace_json(rt.tracer(), p, rt.recorder());
+  bool transfer_track = false;
+  const util::Json doc = util::Json::parse(json);
+  for (const util::Json& event : doc.at("traceEvents").as_array()) {
+    transfer_track |= event.contains("tid") &&
+                      event.at("tid").as_number() >=
+                          static_cast<double>(obs::kTransferTidBase);
+  }
+  ASSERT_TRUE(transfer_track) << "expected a transfer track in the document";
+
+  const RunRecord run = parse_chrome_trace(json);
+  EXPECT_EQ(run.device_count, p.device_count());
+  ASSERT_EQ(run.spans.size(), rt.tracer().spans().size());
+  std::size_t failed = 0;
+  for (std::size_t i = 0; i < run.spans.size(); ++i) {
+    const trace::Span& want = rt.tracer().spans()[i];
+    EXPECT_EQ(run.spans[i].name, want.name);
+    EXPECT_EQ(run.spans[i].task_id, want.task_id);
+    EXPECT_EQ(run.spans[i].device, want.device);
+    EXPECT_EQ(run.spans[i].kind, want.kind);
+    failed += want.kind == trace::SpanKind::FailedExec ? 1 : 0;
+  }
+  EXPECT_GT(failed, 0u);
+  EXPECT_TRUE(check_trace(run).empty());
+}
+
+TEST(ChromeTraceLoader, DoctoredSpanIsReportedByNameAfterTheDocumentIsGone) {
+  std::string json =
+      R"({"traceEvents":[)"
+      R"({"ph":"M","name":"process_name","pid":1,"args":{"name":"p"}},)"
+      R"({"ph":"M","name":"thread_name","pid":1,"tid":0,"args":{"name":"cpu0"}},)"
+      R"({"ph":"M","name":"thread_name","pid":1,"tid":1000,"args":{"name":"x"}},)"
+      R"({"ph":"X","name":"xfer","pid":1,"tid":1000,"ts":0,"dur":5,"args":{}},)"
+      R"({"ph":"i","s":"t","name":"retry","pid":1,"tid":0,"ts":1,"args":{}},)"
+      R"({"ph":"X","name":"NAME","pid":1,"tid":0,"ts":2000000,"dur":-1000000,)"
+      R"("args":{"task":3,"kind":"exec"}}]})";
+  json.replace(json.find("NAME"), 4, kDoctoredName);
+  RunRecord run = parse_chrome_trace(json);
+  json.assign(json.size(), '#');  // scribble over the source text
+  EXPECT_EQ(run.device_count, 1u);
+  ASSERT_EQ(run.spans.size(), 1u);
+  EXPECT_EQ(run.spans[0].task_id, 3u);
+  EXPECT_TRUE(names_span(check_trace(run)));
+}
+
+TEST(ChromeTraceLoader, RejectsDocumentsWithoutEvents) {
+  EXPECT_ANY_THROW(parse_chrome_trace("[]"));
+  EXPECT_ANY_THROW(parse_chrome_trace(R"({"displayTimeUnit":"ms"})"));
+  EXPECT_ANY_THROW(parse_chrome_trace(
+      R"({"traceEvents":[{"ph":"X","name":"a","pid":1,"tid":0,"ts":0,)"
+      R"("dur":1,"args":{"kind":"bogus"}}]})"));
+  EXPECT_ANY_THROW(parse_chrome_trace(
+      R"({"traceEvents":[{"ph":"X","name":"a","pid":1,"tid":-1,"ts":0,)"
+      R"("dur":1,"args":{"kind":"exec"}}]})"));
+}
+
+TEST(RuntimeAudit, DoctoredAuditSpanIsReportedByNameAfterParsing) {
+  AuditRecord doctored;
+  doctored.run.device_count = 1;
+  doctored.run.spans.push_back(
+      trace::Span{0, kDoctoredName, 0, 2.0, 1.0, trace::SpanKind::Exec});
+  std::optional<AuditRecord> parsed =
+      parse_audit_json(to_audit_json(doctored));
+  // Copies share the name store, so the copy outlives the original.
+  const RunRecord copy = parsed->run;
+  parsed.reset();
+  EXPECT_TRUE(names_span(check_trace(copy)));
 }
 
 }  // namespace

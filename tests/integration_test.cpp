@@ -5,6 +5,7 @@
 
 #include "core/runtime.hpp"
 #include "helpers.hpp"
+#include "obs/chrome_trace.hpp"
 #include "sched/registry.hpp"
 #include "trace/report.hpp"
 #include "util/json.hpp"
@@ -135,7 +136,7 @@ TEST(Integration, ChromeTraceOfFullRunIsParseable) {
   workflow::submit_workflow(rt, workflow::make_montage(12), lib());
   rt.wait_all();
   const util::Json doc =
-      util::Json::parse(rt.tracer().to_chrome_json(p));
+      util::Json::parse(obs::chrome_trace_json(rt.tracer(), p, nullptr));
   EXPECT_GE(doc.at("traceEvents").size(),
             static_cast<std::size_t>(rt.stats().tasks_completed));
   const std::string report = trace::utilization_report(rt.tracer(), p);

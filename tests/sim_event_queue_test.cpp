@@ -376,33 +376,27 @@ TEST(EventQueue, NearPastWithinSlackClampsToNow) {
   EXPECT_THROW(q.schedule_at(1000.0 - 1e-3, [] {}), util::InternalError);
 }
 
-// --- drain_ready: the batched completion drain -------------------------
+// --- same-timestamp ties under cancellation ----------------------------
+// Completions, retries and watchdogs of one instant share a timestamp;
+// these pin the FIFO order and carcass handling inside such a tie group.
 
-TEST(EventQueueDrain, DrainsExactlyTheSameTimestampBatchInFifoOrder) {
+TEST(EventQueueTies, RunUntilRunsTheWholeTieGroupInFifoOrder) {
   EventQueue q;
   std::vector<int> fired;
   q.schedule_at(1.0, [&] { fired.push_back(0); });
   q.schedule_at(1.0, [&] { fired.push_back(1); });
   q.schedule_at(1.0, [&] { fired.push_back(2); });
   q.schedule_at(2.0, [&] { fired.push_back(9); });
-  EXPECT_EQ(q.drain_ready(), 3u);
+  q.run_until(1.0);
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(q.now(), 1.0);
   EXPECT_EQ(q.pending(), 1u);
-  EXPECT_EQ(q.drain_ready(), 1u);
+  EXPECT_TRUE(q.step());
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 9}));
   EXPECT_EQ(q.now(), 2.0);
 }
 
-TEST(EventQueueDrain, ReturnsZeroOnEmptyQueue) {
-  EventQueue q;
-  EXPECT_EQ(q.drain_ready(), 0u);
-  q.schedule_at(1.0, [] {});
-  q.run();
-  EXPECT_EQ(q.drain_ready(), 0u);  // drained queue stays drained
-}
-
-TEST(EventQueueDrain, SkipsCarcassesAtHeadAndInsideTheBatch) {
+TEST(EventQueueTies, StepSkipsCarcassesAtHeadAndAmongTies) {
   EventQueue q;
   std::vector<int> fired;
   const EventId head = q.schedule_at(1.0, [&] { fired.push_back(-1); });
@@ -411,16 +405,19 @@ TEST(EventQueueDrain, SkipsCarcassesAtHeadAndInsideTheBatch) {
   q.schedule_at(1.0, [&] { fired.push_back(1); });
   q.cancel(head);
   q.cancel(mid);
-  EXPECT_EQ(q.drain_ready(), 2u);  // counts executed events, not carcasses
+  EXPECT_TRUE(q.step());
+  EXPECT_TRUE(q.step());
+  EXPECT_FALSE(q.step());  // only carcasses were left
   EXPECT_EQ(fired, (std::vector<int>{0, 1}));
+  EXPECT_EQ(q.executed(), 2u);  // counts executed events, not carcasses
+  EXPECT_EQ(q.heap_entries(), 0u);
   EXPECT_TRUE(q.debug_consistent());
 }
 
-TEST(EventQueueDrain, ZeroDelayEventsScheduledDuringDrainJoinTheBatch) {
-  // A callback scheduling at the batch timestamp (the requeue /
-  // immediate-retry pattern) must run within the same drain call — that
-  // is what makes drain_ready equivalent to the step() loop, which would
-  // also reach that event before the clock moves.
+TEST(EventQueueTies, ZeroDelayEventJoinsTheTieGroupBehindItsSiblings) {
+  // The requeue / immediate-retry pattern: an event scheduled at the
+  // current instant runs after the siblings already queued for it, and
+  // before the clock moves on.
   EventQueue q;
   std::vector<int> fired;
   q.schedule_at(1.0, [&] {
@@ -429,15 +426,15 @@ TEST(EventQueueDrain, ZeroDelayEventsScheduledDuringDrainJoinTheBatch) {
   });
   q.schedule_at(1.0, [&] { fired.push_back(1); });
   q.schedule_at(3.0, [&] { fired.push_back(9); });
-  EXPECT_EQ(q.drain_ready(), 3u);
+  q.run_until(1.0);
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(q.now(), 1.0);
   EXPECT_EQ(q.pending(), 1u);
 }
 
-TEST(EventQueueDrain, CallbackCancellingBatchMemberSuppressesIt) {
+TEST(EventQueueTies, CallbackCancellingATieSiblingSuppressesIt) {
   // The watchdog-vs-completion race inside one timestamp: the first
-  // event cancels the second; drain_ready must not run the corpse.
+  // event cancels the second, which must never run.
   EventQueue q;
   std::vector<int> fired;
   std::vector<EventId> ids;
@@ -447,16 +444,18 @@ TEST(EventQueueDrain, CallbackCancellingBatchMemberSuppressesIt) {
   }));
   ids.push_back(q.schedule_at(1.0, [&] { fired.push_back(-1); }));
   ids.push_back(q.schedule_at(1.0, [&] { fired.push_back(2); }));
-  EXPECT_EQ(q.drain_ready(), 2u);
+  while (q.step()) {
+  }
   EXPECT_EQ(fired, (std::vector<int>{0, 2}));
+  EXPECT_EQ(q.executed(), 2u);
   EXPECT_TRUE(q.debug_consistent());
 }
 
-TEST(EventQueueDrain, FullRunMatchesStepLoopEventForEvent) {
+TEST(EventQueueTies, RunUntilSlicesMatchStepLoopEventForEvent) {
   // Property: over a schedule dense with same-time ties, cancellations
-  // and mid-run insertions, the drain_ready loop executes the exact same
-  // event sequence as the step() loop.
-  const auto build_and_run = [](bool batched) {
+  // and mid-run insertions, advancing in run_until slices (one slice per
+  // tie timestamp) executes the exact event sequence of the step() loop.
+  const auto build_and_run = [](bool sliced) {
     EventQueue q;
     std::vector<int> order;
     std::vector<EventId> ids;
@@ -465,7 +464,7 @@ TEST(EventQueueDrain, FullRunMatchesStepLoopEventForEvent) {
       ids.push_back(q.schedule_at(t, [&order, &q, i] {
         order.push_back(i);
         if (i % 11 == 0) {
-          // Mid-run insertion at the current batch timestamp.
+          // Mid-run insertion at the current timestamp.
           q.schedule_after(0.0, [&order, i] { order.push_back(1000 + i); });
         }
       }));
@@ -473,9 +472,11 @@ TEST(EventQueueDrain, FullRunMatchesStepLoopEventForEvent) {
     for (int i = 0; i < 300; i += 5) {
       q.cancel(ids[static_cast<std::size_t>(i)]);
     }
-    if (batched) {
-      while (q.drain_ready() > 0) {
+    if (sliced) {
+      for (int t = 1; t <= 7; ++t) {
+        q.run_until(static_cast<double>(t));
       }
+      EXPECT_TRUE(q.empty());
     } else {
       while (q.step()) {
       }
@@ -483,17 +484,17 @@ TEST(EventQueueDrain, FullRunMatchesStepLoopEventForEvent) {
     return order;
   };
   const std::vector<int> stepped = build_and_run(false);
-  const std::vector<int> drained = build_and_run(true);
-  EXPECT_EQ(stepped, drained);
+  const std::vector<int> sliced = build_and_run(true);
+  EXPECT_EQ(stepped, sliced);
   EXPECT_FALSE(stepped.empty());
 }
 
-TEST(EventQueueDrain, MutualCancellationRacesWithinOneBatch) {
+TEST(EventQueueTies, MutualCancellationRacesWithinOneTimestamp) {
   // Both directions of the watchdog/completion race at one timestamp:
-  // pair A's first-by-seq member cancels its partner ahead in the batch,
-  // pair B's first member cancels a partner that sits even further down.
+  // pair A's first-by-seq member cancels its partner ahead in the tie
+  // group, pair B's first member cancels a partner further down.
   // Whichever side fires first must win, and the loser must never
-  // deliver — across several pairs in a single drained batch.
+  // deliver — across several pairs at a single instant.
   EventQueue q;
   std::vector<int> fired;
   std::vector<EventId> ids(6);
@@ -512,16 +513,17 @@ TEST(EventQueueDrain, MutualCancellationRacesWithinOneBatch) {
     EXPECT_FALSE(q.cancel(ids[0]));
   });
   ids[5] = q.schedule_at(2.0, [&] { fired.push_back(5); });
-  EXPECT_EQ(q.drain_ready(), 4u);
+  q.run_until(2.0);
   EXPECT_EQ(fired, (std::vector<int>{0, 2, 4, 5}));
+  EXPECT_EQ(q.executed(), 4u);
   EXPECT_EQ(q.now(), 2.0);
   EXPECT_TRUE(q.debug_consistent());
 }
 
-TEST(EventQueueDrain, MidBatchCancelStormTriggersCompactionSafely) {
-  // A batch member cancels a large population of future events, tripping
-  // the carcass-ratio compaction *inside* the drain loop. The remaining
-  // same-timestamp members must still run FIFO and later events survive.
+TEST(EventQueueTies, CancelStormInsideATieGroupCompactsSafely) {
+  // A tie-group member cancels a large population of future events,
+  // tripping the carcass-ratio compaction while its siblings are still
+  // queued. They must still run FIFO and the later survivors must keep.
   EventQueue q;
   std::vector<int> fired;
   std::vector<EventId> future;
@@ -537,18 +539,24 @@ TEST(EventQueueDrain, MidBatchCancelStormTriggersCompactionSafely) {
   });
   q.schedule_at(1.0, [&] { fired.push_back(1); });
   q.schedule_at(1.0, [&] { fired.push_back(2); });
-  EXPECT_EQ(q.drain_ready(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(q.step());
+  }
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
+  EXPECT_LT(q.heap_carcasses(), 32u);  // compaction ran mid-storm
   EXPECT_TRUE(q.debug_consistent());
-  EXPECT_EQ(q.drain_ready(), 32u);  // surviving half of the future batch
+  q.run();
+  EXPECT_EQ(q.executed(), 3u + 32u);  // surviving half of the future group
+  EXPECT_EQ(fired.size(), 3u + 32u);
+  EXPECT_EQ(fired[3], 101);
   EXPECT_EQ(q.now(), 5.0);
   EXPECT_TRUE(q.debug_consistent());
 }
 
-TEST(EventQueueDrain, ConsistencyHoldsThroughCancelHeavyDrainLoop) {
-  // Property: a drain loop over a schedule dense with same-time ties,
-  // pre-drain cancels and in-batch cancels keeps the slab/heap/carcass
-  // accounting consistent after every single drain_ready call.
+TEST(EventQueueTies, ConsistencyHoldsThroughCancelHeavyTieGroups) {
+  // Property: a step loop over a schedule dense with same-time ties,
+  // up-front cancels and in-group cancels keeps the slab/heap/carcass
+  // accounting consistent after every single step.
   EventQueue q;
   std::vector<EventId> ids;
   std::size_t ran = 0;
@@ -567,13 +575,11 @@ TEST(EventQueueDrain, ConsistencyHoldsThroughCancelHeavyDrainLoop) {
     q.cancel(ids[static_cast<std::size_t>(i)]);
   }
   ASSERT_TRUE(q.debug_consistent());
-  std::size_t total = 0;
-  while (std::size_t n = q.drain_ready()) {
-    total += n;
+  while (q.step()) {
     ASSERT_TRUE(q.debug_consistent());
   }
-  EXPECT_EQ(total, ran);
-  EXPECT_GT(total, 0u);
+  EXPECT_EQ(q.executed(), ran);
+  EXPECT_GT(ran, 0u);
   EXPECT_EQ(q.pending(), 0u);
 }
 

@@ -24,7 +24,6 @@
 #include "serve/audit.hpp"
 #include "sim/event_queue.hpp"
 #include "util/cli.hpp"
-#include "util/json.hpp"
 #include "workflow/dagfile.hpp"
 #include "workflow/spec.hpp"
 #include "workflow/workflow.hpp"
@@ -43,40 +42,6 @@ std::string read_file(const std::string& path) {
   return buffer.str();
 }
 
-/// Reconstructs the span list of a Chrome trace written by
-/// Tracer::to_chrome_json (ph=="X" complete events, tid = device id).
-check::RunRecord parse_chrome_trace(const std::string& text) {
-  const util::Json doc = util::Json::parse(text);
-  check::RunRecord run;
-  for (const util::Json& event : doc.at("traceEvents").as_array()) {
-    const std::string& ph = event.at("ph").as_string();
-    const auto device =
-        static_cast<hw::DeviceId>(event.at("tid").as_number());
-    run.device_count =
-        std::max<std::size_t>(run.device_count, device + std::size_t{1});
-    if (ph != "X") {
-      continue;
-    }
-    trace::Span span;
-    span.name = event.at("name").as_string();
-    span.device = device;
-    span.start = event.at("ts").as_number() / 1e6;
-    span.end = span.start + event.at("dur").as_number() / 1e6;
-    if (event.contains("args")) {
-      const util::Json& args = event.at("args");
-      if (args.contains("task")) {
-        span.task_id =
-            static_cast<std::uint64_t>(args.at("task").as_number());
-      }
-      if (args.contains("kind") && args.at("kind").as_string() == "failed") {
-        span.kind = trace::SpanKind::FailedExec;
-      }
-    }
-    run.spans.push_back(std::move(span));
-  }
-  return run;
-}
-
 int report_and_exit_code(const check::CheckReport& report) {
   std::cout << report.summary();
   return report.passed() ? 0 : 1;
@@ -92,7 +57,7 @@ int audit_dag(const std::string& path) {
 }
 
 int audit_trace(const std::string& path) {
-  const check::RunRecord run = parse_chrome_trace(read_file(path));
+  const check::RunRecord run = check::parse_chrome_trace(read_file(path));
   check::CheckReport report;
   report.merge(check::check_trace(run));
   report.note_check("trace spans", run.spans.size());
@@ -320,7 +285,8 @@ int main(int argc, char** argv) {
                 "audit hetflow runs, traces and workflow files for "
                 "schedule races and invariant violations");
   cli.add_option("dag", "", "audit a .dag workflow file");
-  cli.add_option("trace", "", "audit a Chrome trace JSON file");
+  cli.add_option("trace", "",
+                 "audit a Chrome trace (hetflow_run --chrome-trace) file");
   cli.add_option("audit", "", "audit a full run snapshot "
                  "(hetflow_run --audit-out)");
   cli.add_option("workflow", "",

@@ -3,7 +3,7 @@
 //
 //   $ hetflow_run --workflow montage:64 --platform hpc:8,2,0 --sched dmda
 //   $ hetflow_run --workflow pipeline.dag --platform machine.json
-//         --sched heft --gantt --trace-json trace.json
+//         --sched heft --gantt --chrome-trace trace.json
 //   $ hetflow_run --workflow cholesky:16,2048 --platform hpc:8,4,0
 //         --failure-rate 0.5 --failure-policy reschedule --csv
 #include <fstream>
@@ -113,7 +113,6 @@ int main(int argc, char** argv) {
   cli.add_option("resume", "",
                  "continue a killed campaign from this checkpoint file");
   cli.add_option("scale", "1", "workflow size multiplier (generators only)");
-  cli.add_option("trace-json", "", "write a Chrome trace to this path");
   cli.add_option("metrics-out", "",
                  "write the metrics snapshot as JSON to this path (implies "
                  "--metrics)");
@@ -386,14 +385,6 @@ int main(int argc, char** argv) {
                         cli.value("audit-out"));
       std::cout << "audit snapshot written to " << cli.value("audit-out")
                 << '\n';
-    }
-    if (!cli.value("trace-json").empty()) {
-      std::ofstream out(cli.value("trace-json"));
-      if (!out) {
-        throw Error("cannot open '" + cli.value("trace-json") + "'");
-      }
-      out << runtime.tracer().to_chrome_json(platform);
-      std::cout << "trace written to " << cli.value("trace-json") << '\n';
     }
     const auto write_file = [](const std::string& path,
                                const std::string& content,
