@@ -56,15 +56,16 @@ bool DeviceHealth::note_success(hw::DeviceId id) {
   return false;
 }
 
-void DeviceHealth::quarantine(hw::DeviceId id, sim::SimTime until) {
+bool DeviceHealth::quarantine(hw::DeviceId id, sim::SimTime until) {
   Entry& e = entry(id);
   if (e.state == State::Blacklisted) {
     e.blacklisted_until = std::max(e.blacklisted_until, until);
-    return;
+    return false;
   }
   e.state = State::Blacklisted;
   e.blacklisted_until = until;
   ++e.blacklist_events;
+  return true;
 }
 
 void DeviceHealth::end_blacklist(hw::DeviceId id) {

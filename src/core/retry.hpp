@@ -3,7 +3,7 @@
 // A run survives flaky devices through three cooperating mechanisms, all
 // configured on RuntimeOptions::retry:
 //
-//   * attempt budget — a task is retried up to max_attempts times; what
+//   * attempt budget — a task gets at most max_attempts attempts; what
 //     happens when the budget is exhausted is ExhaustionPolicy's call
 //     (abort the run, or drop the task and its dependent subtree);
 //   * exponential backoff — a failed attempt is requeued only after
@@ -43,8 +43,9 @@ enum class ExhaustionPolicy : std::uint8_t {
 /// legacy behaviour exactly: immediate retries, no timeout, no
 /// blacklist, abort on exhaustion.
 struct RetryPolicy {
-  /// Attempt budget per task; 0 inherits RuntimeOptions::max_attempts.
-  std::size_t max_attempts = 0;
+  /// Attempt budget per task (at least 1; the Runtime rejects 0). The
+  /// default guards against pathological failure rates.
+  std::size_t max_attempts = 50;
   /// First retry delay in simulated seconds; 0 = retry immediately
   /// (which also skips the backoff event entirely, keeping legacy event
   /// ordering byte-identical).
@@ -127,9 +128,10 @@ class DeviceHealth {
   void end_blacklist(hw::DeviceId id);
   /// Forces `id` into quarantine regardless of its failure counters —
   /// the whole-node fault domain path, where the device did nothing
-  /// wrong but its node is gone. Counts as a blacklist event; extends
-  /// the quarantine when already blacklisted.
-  void quarantine(hw::DeviceId id, sim::SimTime until);
+  /// wrong but its node is gone. Returns true (and counts a blacklist
+  /// event) when the device entered quarantine; an already blacklisted
+  /// device only has its quarantine extended and returns false.
+  bool quarantine(hw::DeviceId id, sim::SimTime until);
 
  private:
   struct Entry {

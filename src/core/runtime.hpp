@@ -78,13 +78,9 @@ struct RuntimeOptions {
   double noise_cv = 0.0;
   hw::FailureModel failure_model;
   FailurePolicy failure_policy = FailurePolicy::RetrySameDevice;
-  /// A task attempt beyond this count aborts the run (guards against
-  /// pathological failure rates). RetryPolicy::max_attempts, when set,
-  /// takes precedence; RetryPolicy::on_exhausted decides abort vs drop.
-  std::size_t max_attempts = 50;
-  /// Fault-tolerance knobs: retry backoff, per-attempt timeout, device
-  /// blacklisting (see core/retry.hpp). Defaults preserve the legacy
-  /// immediate-retry behaviour byte-for-byte.
+  /// Fault-tolerance knobs: attempt budget, retry backoff, per-attempt
+  /// timeout, device blacklisting (see core/retry.hpp). Defaults preserve
+  /// the legacy immediate-retry behaviour byte-for-byte.
   RetryPolicy retry;
   /// Scheduled whole-node failures (cluster fault domains). A fault
   /// whose time falls beyond the run's natural drain never fires.
@@ -246,13 +242,14 @@ class Runtime {
     /// quarantine lifted) when the run drains first (0 = none).
     sim::EventId probation_event = 0;
     double queued_est_seconds = 0.0;
-    // cumulative accounting (uint64_t: explicit width for campaign-scale
-    // attempt counts; size_t is only guaranteed 16 bits)
-    std::uint64_t tasks_completed = 0;
-    std::uint64_t failed_attempts = 0;
-    std::uint64_t timeouts = 0;
-    double busy_seconds = 0.0;
-    double busy_energy_j = 0.0;
+  };
+
+  /// How an attempt ended; end_attempt's accounting and span depend on it.
+  enum class AttemptEnd : std::uint8_t {
+    Completed,  ///< finish_task
+    Failed,     ///< fail_task: injected fail-stop fault
+    TimedOut,   ///< timeout_task: the watchdog cancelled it
+    NodeKilled  ///< fail_node: its node died under it
   };
 
   const hw::Platform* platform_;
@@ -373,6 +370,12 @@ class Runtime {
   /// fused pull path in pump_device): attempt accounting, data acquire,
   /// noise/failure sampling, completion + watchdog events.
   void begin_execution(Task& task, hw::DeviceId id);
+  /// The one place an attempt ends: releases its data pins, charges its
+  /// busy time and energy to stats_.devices[id], counts it by `how`, and
+  /// records its span (always for Completed/Failed; for TimedOut and
+  /// NodeKilled only when the device was actually busy, busy_s > 0).
+  void end_attempt(Task& task, hw::DeviceId id, sim::SimTime started,
+                   double busy_s, std::size_t dvfs_index, AttemptEnd how);
   void finish_task(Task& task, hw::DeviceId id, sim::SimTime started,
                    double busy_s, std::size_t dvfs_index);
   void fail_task(Task& task, hw::DeviceId id, sim::SimTime started,
@@ -408,7 +411,8 @@ class Runtime {
   void park_task(Task& task);
   /// Re-readies parked tasks whose accesses are no longer blocked.
   void release_parked();
-  std::size_t effective_max_attempts() const noexcept;
+  /// Derives the run-level attempt totals from the per-device tallies
+  /// and copies every RunStats-backed metrics counter (once per wait_all).
   void finalize_stats();
 
   double exec_estimate(const Task& task, const hw::Device& device,

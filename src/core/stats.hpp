@@ -16,6 +16,7 @@ namespace hetflow::core {
 // guaranteed 16 bits. uint64_t makes the width explicit on every platform.
 struct DeviceRunStats {
   hw::DeviceId device = 0;
+  /// Successful executions; a resurrected producer's re-run counts again.
   std::uint64_t tasks_completed = 0;
   std::uint64_t failed_attempts = 0;
   std::uint64_t timeouts = 0;          ///< attempts cancelled by the watchdog
@@ -28,14 +29,18 @@ struct DeviceRunStats {
 struct RunStats {
   double makespan_s = 0.0;
   std::uint64_t tasks_completed = 0;
+  /// Sum of DeviceRunStats::failed_attempts.
   std::uint64_t failed_attempts = 0;
   /// Attempts cancelled for exceeding RetryPolicy::timeout_s (these are
-  /// also counted in failed_attempts).
+  /// also counted in failed_attempts); sum of DeviceRunStats::timeouts.
   std::uint64_t timeouts = 0;
   /// Tasks abandoned under ExhaustionPolicy::Drop, including the
   /// dependent subtrees of exhausted tasks.
   std::uint64_t tasks_lost = 0;
-  /// Device quarantines triggered by RetryPolicy::blacklist_after.
+  /// Device quarantines, from RetryPolicy::blacklist_after trips and from
+  /// node faults (one per device that entered quarantine; a device that
+  /// was already quarantined is not counted again). The sum of
+  /// DeviceRunStats::blacklist_events.
   std::uint64_t blacklist_events = 0;
   /// Whole-node fault domains that fired (RuntimeOptions::node_faults).
   std::uint64_t node_failures = 0;

@@ -3,10 +3,10 @@
 // Three metric kinds cover everything the runtime emits:
 //
 //   * Counter       — monotonically increasing sum (tasks_scheduled,
-//                     bytes_transferred, retry_attempts, ...). Stored as a
-//                     double so second-valued counters accumulate in
-//                     exactly the same order and precision as the RunStats
-//                     fields they mirror (snapshots reconcile bitwise).
+//                     bytes_transferred, retry_attempts, ...). Counters
+//                     that mirror a RunStats field are not accumulated
+//                     beside it but set from it when a run ends, so the
+//                     snapshot reconciles bitwise by construction.
 //   * Gauge         — last-written value (makespan_s, events_executed).
 //   * TimeWeighted  — a piecewise-constant signal sampled at update()
 //                     instants (queue_depth, event_queue_depth); the
@@ -39,6 +39,9 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 class Counter {
  public:
   void inc(double delta = 1.0) { value_ += delta; }
+  /// Overwrites the running total with an authoritative tally kept
+  /// elsewhere (the runtime's RunStats).
+  void set(double value) { value_ = value; }
   double value() const noexcept { return value_; }
 
  private:

@@ -6,14 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <set>
 #include <vector>
 
 #include "check/audit.hpp"
 #include "check/cluster.hpp"
 #include "check/invariants.hpp"
+#include "cluster_fault_scenario.hpp"
 #include "core/runtime.hpp"
 #include "hw/cluster.hpp"
+#include "obs/recorder.hpp"
 #include "sched/cluster.hpp"
 #include "trace/tracer.hpp"
 #include "workflow/codelets.hpp"
@@ -23,27 +27,8 @@
 namespace hetflow {
 namespace {
 
-core::NodeFault make_fault(const hw::Cluster& cluster, std::size_t node,
-                           double at, double recover = -1.0) {
-  core::NodeFault fault;
-  fault.at = at;
-  fault.devices = cluster.devices_on(node);
-  const hw::ClusterNode& record = cluster.node(node);
-  for (std::size_t m = 0; m < record.memory_count; ++m) {
-    fault.memory_nodes.push_back(
-        static_cast<hw::MemoryNodeId>(record.first_memory + m));
-  }
-  fault.recover_after = recover;
-  return fault;
-}
-
-std::vector<hw::MemoryNodeId> gateways(const hw::Cluster& cluster) {
-  std::vector<hw::MemoryNodeId> homes;
-  for (const hw::ClusterNode& node : cluster.nodes()) {
-    homes.push_back(node.gateway);
-  }
-  return homes;
-}
+using hetflow::testing::gateways;
+using hetflow::testing::make_fault;
 
 /// Devices of `node` as a set for span filtering.
 std::set<hw::DeviceId> device_set(const hw::Cluster& cluster,
@@ -172,6 +157,62 @@ TEST(ClusterFailure, LateFaultAfterDrainIsHarmless) {
   runtime.wait_all();
   EXPECT_EQ(runtime.stats().node_failures, 0u);
   expect_all_completed(runtime, ids);
+}
+
+// Regression: a node fault used to count a quarantine (and log a
+// Blacklist event) for every device on the node, even one that was
+// already quarantined — where DeviceHealth only extends the quarantine.
+// RunStats::blacklist_events then exceeded the per-device sum.
+TEST(ClusterFailure, NodeFaultDoesNotRecountQuarantinedDevice) {
+  const hw::Cluster cluster = hw::make_hpc_cluster(2, 4, 1);
+  const std::vector<hw::DeviceId> node1 = cluster.devices_on(1);
+  const hw::DeviceId flaky = node1.front();
+  const double fault_at = 0.03;
+  core::RuntimeOptions options;
+  options.metrics = true;
+  // Every attempt on `flaky` dies at once: two failures trip the
+  // blacklist, and the long probation keeps it quarantined when its node
+  // dies.
+  options.failure_model.set_device_rate(flaky, 1e6);
+  options.failure_policy = core::FailurePolicy::Reschedule;
+  options.retry.blacklist_after = 2;
+  options.retry.probation_s = 100.0;
+  options.node_faults.push_back(make_fault(cluster, 1, fault_at));
+  core::Runtime runtime(cluster.platform(),
+                        sched::make_cluster_scheduler(cluster, "eager"),
+                        options);
+  const std::vector<core::TaskId> ids = workflow::submit_workflow_scattered(
+      runtime, workflow::make_fork_join(16, 4, 0.5, 1),
+      workflow::CodeletLibrary::standard(), gateways(cluster));
+  runtime.wait_all();
+  expect_all_completed(runtime, ids);
+
+  std::map<hw::DeviceId, std::vector<double>> blacklisted_at;
+  for (const obs::Event& event : runtime.recorder()->events()) {
+    if (event.kind == obs::EventKind::Blacklist) {
+      blacklisted_at[static_cast<hw::DeviceId>(event.device)].push_back(
+          event.time);
+    }
+  }
+  // The scenario holds: `flaky` was quarantined before the fault (and
+  // the long probation kept it so through the fault).
+  ASSERT_FALSE(blacklisted_at[flaky].empty());
+  ASSERT_LT(blacklisted_at[flaky].front(), fault_at);
+
+  const core::RunStats& stats = runtime.stats();
+  std::uint64_t per_device = 0;
+  std::size_t events = 0;
+  for (const core::DeviceRunStats& device : stats.devices) {
+    per_device += device.blacklist_events;
+    EXPECT_EQ(blacklisted_at[device.device].size(), device.blacklist_events)
+        << "device " << device.device;
+    events += blacklisted_at[device.device].size();
+  }
+  EXPECT_EQ(stats.blacklist_events, per_device);
+  EXPECT_EQ(stats.blacklist_events, events);
+  // The node's other devices entered quarantine with the node; `flaky`
+  // was not counted again.
+  EXPECT_EQ(stats.blacklist_events, node1.size());
 }
 
 TEST(ClusterFailure, StaticSchedulerRejectsNodeFaults) {

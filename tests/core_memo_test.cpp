@@ -175,7 +175,7 @@ TEST(EngineAudit, CancelHeavyFaultRunValidatesCleanAndReproduces) {
     options.failure_model = hw::FailureModel::uniform(10.0);
     options.failure_model.set_hang_fraction(0.3);
     options.failure_policy = core::FailurePolicy::Reschedule;
-    options.max_attempts = 500;
+    options.retry.max_attempts = 500;
     options.retry.timeout_s = 5.0;  // generous: successes finish inside it
     options.retry.backoff_base_s = 0.01;
     options.retry.blacklist_after = 3;
@@ -226,7 +226,7 @@ TEST(CostMemoization, BlacklistTransitionsInvalidateCache) {
   options.seed = 9;
   options.failure_model.set_rate(hw::DeviceType::Gpu, 60.0);
   options.failure_policy = core::FailurePolicy::Reschedule;
-  options.max_attempts = 500;
+  options.retry.max_attempts = 500;
   options.retry.blacklist_after = 2;
   options.retry.probation_s = 2.0;
   options.memoize_costs = true;
@@ -258,7 +258,7 @@ TEST(CostMemoization, MemoizedMatchesDirectUnderBlacklisting) {
     options.noise_cv = 0.2;
     options.failure_model.set_rate(hw::DeviceType::Gpu, 60.0);
     options.failure_policy = core::FailurePolicy::Reschedule;
-    options.max_attempts = 500;
+    options.retry.max_attempts = 500;
     options.retry.blacklist_after = 2;
     options.retry.probation_s = 2.0;
     options.use_history_model = true;

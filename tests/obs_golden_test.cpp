@@ -1,4 +1,4 @@
-// Golden-trace regression suite: runs two pinned scenarios with the
+// Golden-trace regression suite: runs three pinned scenarios with the
 // observability layer on and compares every serialized artifact —
 // metrics snapshot (JSON + CSV), merged Chrome trace, scheduler decision
 // log — byte for byte against the reference files checked in under
@@ -12,9 +12,11 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 
+#include "cluster_fault_scenario.hpp"
 #include "core/runtime.hpp"
 #include "helpers.hpp"
 #include "hw/presets.hpp"
@@ -133,6 +135,24 @@ TEST(ObsGolden, FaultInjectionOnCpuPairWithMct) {
   }
   rt.wait_all();
   check_scenario("faulty_mct", p, rt);
+}
+
+TEST(ObsGolden, NodeFaultWithTimeoutsAndDropOnCluster) {
+  // The "fault domain" reference: hung attempts cut by the watchdog, an
+  // exhausted budget under Drop, blacklisting, and a transient node fault
+  // that resurrects producers, re-seeds inputs and parks consumers — the
+  // counters neither run above ever touches.
+  const hw::Cluster cluster = hetflow::testing::fault_scenario_cluster();
+  const std::unique_ptr<core::Runtime> rt =
+      hetflow::testing::run_cluster_faults(cluster);
+  const core::RunStats& stats = rt->stats();
+  EXPECT_GT(stats.timeouts, 0u);
+  EXPECT_GT(stats.tasks_lost, 0u);
+  EXPECT_EQ(stats.node_failures, 1u);
+  EXPECT_GT(stats.tasks_resurrected, 0u);
+  EXPECT_GT(stats.data_reseeded, 0u);
+  EXPECT_GT(stats.tasks_parked, 0u);
+  check_scenario("cluster_node_fault", cluster.platform(), *rt);
 }
 
 // Sanity on the golden artifacts themselves (run in both modes): the

@@ -4,8 +4,8 @@
 //   1. The Chrome trace reconciles with RunStats: per device, the summed
 //      durations of the exported "X" spans equal busy_seconds.
 //   2. The metrics snapshot reconciles with RunStats — bitwise for the
-//      second-valued counters, which accumulate in the same order as the
-//      stats fields they mirror.
+//      second-valued counters, which are copied from the stats fields they
+//      mirror — on clean runs and on a run through every fault path.
 //   3. The decision log tells the truth: the LAST logged decision for
 //      each task names the device the task actually ran on, as recorded
 //      by the hetflow-verify audit snapshot.
@@ -16,8 +16,10 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "check/audit.hpp"
+#include "cluster_fault_scenario.hpp"
 #include "core/runtime.hpp"
 #include "hw/presets.hpp"
 #include "obs/chrome_trace.hpp"
@@ -79,6 +81,50 @@ TEST(ObsProperty, ChromeTraceSpanTimeEqualsRunStatsBusyTime) {
   }
 }
 
+/// Every metrics counter that mirrors a RunStats field equals it —
+/// bitwise for the second-valued ones — and the run-level attempt totals
+/// are exactly the per-device sums.
+void expect_counters_mirror_run_stats(const hw::Platform& platform,
+                                      const core::Runtime& rt,
+                                      const std::string& run) {
+  const obs::MetricsRegistry& m = rt.recorder()->metrics();
+  const core::RunStats& stats = rt.stats();
+  std::uint64_t failed_attempts = 0;
+  std::uint64_t timeouts = 0;
+  std::uint64_t blacklist_events = 0;
+  for (const core::DeviceRunStats& d : stats.devices) {
+    const std::string& device = platform.device(d.device).name();
+    const obs::Labels labels = {{"device", device}};
+    EXPECT_EQ(m.counter_value("busy_seconds", labels), d.busy_seconds)
+        << run << " device " << device;
+    EXPECT_EQ(m.counter_value("busy_energy_j", labels), d.busy_energy_j)
+        << run << " device " << device;
+    for (const auto& [name, value] :
+         {std::pair{"tasks_completed", d.tasks_completed},
+          std::pair{"failed_attempts", d.failed_attempts},
+          std::pair{"timeouts", d.timeouts},
+          std::pair{"blacklist_events", d.blacklist_events}}) {
+      EXPECT_EQ(m.counter_value(name, labels), static_cast<double>(value))
+          << run << " device " << device << " " << name;
+    }
+    failed_attempts += d.failed_attempts;
+    timeouts += d.timeouts;
+    blacklist_events += d.blacklist_events;
+  }
+  for (const auto& [name, value] :
+       {std::pair{"node_failures", stats.node_failures},
+        std::pair{"data_reseeded", stats.data_reseeded},
+        std::pair{"tasks_resurrected", stats.tasks_resurrected},
+        std::pair{"tasks_parked", stats.tasks_parked},
+        std::pair{"tasks_lost", stats.tasks_lost}}) {
+    EXPECT_EQ(m.counter_value(name, {}), static_cast<double>(value))
+        << run << " " << name;
+  }
+  EXPECT_EQ(stats.failed_attempts, failed_attempts) << run;
+  EXPECT_EQ(stats.timeouts, timeouts) << run;
+  EXPECT_EQ(stats.blacklist_events, blacklist_events) << run;
+}
+
 TEST(ObsProperty, MetricsSnapshotReconcilesWithRunStats) {
   const hw::Platform p = hw::make_workstation();
   for (const char* scheduler : kSchedulers) {
@@ -87,6 +133,9 @@ TEST(ObsProperty, MetricsSnapshotReconcilesWithRunStats) {
     const obs::MetricsRegistry& m = rt.recorder()->metrics();
     const core::RunStats& stats = rt.stats();
 
+    expect_counters_mirror_run_stats(p, rt, scheduler);
+    // No fault injection in this run: every task completes exactly once
+    // and passes through the scheduler exactly once.
     EXPECT_EQ(m.counter_sum("tasks_completed"),
               static_cast<double>(stats.tasks_completed))
         << scheduler;
@@ -96,27 +145,20 @@ TEST(ObsProperty, MetricsSnapshotReconcilesWithRunStats) {
     EXPECT_EQ(m.counter_sum("bytes_transferred"),
               static_cast<double>(stats.transfers.bytes_moved))
         << scheduler;
-    // No fault injection in this run, so every task passes through the
-    // scheduler exactly once.
     EXPECT_EQ(m.counter_sum("tasks_scheduled"),
               static_cast<double>(stats.tasks_completed))
         << scheduler;
-
-    for (hw::DeviceId d = 0; d < p.device_count(); ++d) {
-      const obs::Labels labels = {{"device", p.device(d).name()}};
-      // Bitwise: the counter accumulated the identical doubles in the
-      // identical order as DeviceRunStats::busy_seconds.
-      EXPECT_EQ(m.counter_value("busy_seconds", labels),
-                stats.devices[d].busy_seconds)
-          << scheduler << " device " << p.device(d).name();
-      EXPECT_EQ(m.counter_value("busy_energy_j", labels),
-                stats.devices[d].busy_energy_j)
-          << scheduler << " device " << p.device(d).name();
-      EXPECT_EQ(m.counter_value("tasks_completed", labels),
-                static_cast<double>(stats.devices[d].tasks_completed))
-          << scheduler << " device " << p.device(d).name();
-    }
   }
+
+  // Timeouts, drops, blacklists and a node fault with resurrection,
+  // reseeding and parking: every mirrored counter is exercised.
+  const hw::Cluster cluster = hetflow::testing::fault_scenario_cluster();
+  const std::unique_ptr<core::Runtime> faulty =
+      hetflow::testing::run_cluster_faults(cluster);
+  expect_counters_mirror_run_stats(cluster.platform(), *faulty,
+                                   "cluster faults");
+  EXPECT_EQ(faulty->recorder()->metrics().counter_sum("bytes_transferred"),
+            static_cast<double>(faulty->stats().transfers.bytes_moved));
 }
 
 TEST(ObsProperty, LastDecisionWinnerIsTheDeviceTheTaskRanOn) {

@@ -134,7 +134,7 @@ TEST(Streaming, StaticSchedulerRejectsRescheduleAtHandBack) {
   // High enough that a failure is certain within the horizon.
   options.failure_model = hw::FailureModel::uniform(50.0);
   options.failure_policy = core::FailurePolicy::Reschedule;
-  options.max_attempts = 1000;
+  options.retry.max_attempts = 1000;
   for (const char* policy : {"heft", "cpop", "peft"}) {
     try {
       run_streaming(p, policy, {sensing_pipeline(0.5)}, 2.0, lib, options);
@@ -157,7 +157,7 @@ TEST(Streaming, FailureRecoveryStillWorksWhereSupported) {
   core::RuntimeOptions retry;
   retry.failure_model = hw::FailureModel::uniform(0.2);
   retry.failure_policy = core::FailurePolicy::RetrySameDevice;
-  retry.max_attempts = 100;
+  retry.retry.max_attempts = 100;
   const StreamingResult on_static =
       run_streaming(p, "heft", {sensing_pipeline(0.5)}, 2.0, lib, retry);
   EXPECT_EQ(on_static.total_instances(), 4u);

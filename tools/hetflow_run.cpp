@@ -81,8 +81,8 @@ int main(int argc, char** argv) {
   cli.add_option("failure-rate", "0",
                  "transient failure rate (failures per busy-second)");
   cli.add_option("failure-policy", "retry", "retry | reschedule");
-  cli.add_option("max-attempts", "0",
-                 "per-task attempt budget (0 = runtime default)");
+  cli.add_option("max-attempts", "50",
+                 "per-task attempt budget (at least 1)");
   cli.add_option("backoff", "0",
                  "base retry backoff in seconds (0 = immediate retry)");
   cli.add_option("backoff-jitter", "0",
