@@ -23,6 +23,12 @@ obs::Labels device_labels(const hw::Device& device) {
 // SchedContext implementation
 // ---------------------------------------------------------------------------
 
+void SchedContext::record_decision(obs::SchedDecision decision) {
+  if (obs::Recorder* sink = recorder()) {
+    sink->add_decision(std::move(decision));
+  }
+}
+
 class Runtime::Context final : public SchedContext {
  public:
   explicit Context(Runtime& rt) : rt_(&rt) {}

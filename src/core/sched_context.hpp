@@ -13,6 +13,7 @@
 
 namespace hetflow::obs {
 class Recorder;
+struct SchedDecision;
 }
 
 namespace hetflow::core {
@@ -86,6 +87,12 @@ class SchedContext {
   /// Observability sink for scheduler decision logging; null when
   /// RuntimeOptions::metrics is off (policies must tolerate null).
   virtual obs::Recorder* recorder() const noexcept { return nullptr; }
+
+  /// Logs a placement decision whose device ids are numbered as this
+  /// context's platform() numbers them; a no-op when recorder() is null.
+  /// A context that renumbers devices (the cluster scheduler's per-node
+  /// view) translates the ids before they reach the recorder.
+  virtual void record_decision(obs::SchedDecision decision);
 
   /// Live MSI replica directory, for placement layers (the cluster
   /// scheduler) that score residency across memory nodes. Null when the

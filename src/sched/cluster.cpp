@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "obs/decision_log.hpp"
 #include "sched/registry.hpp"
 #include "util/error.hpp"
 
@@ -61,6 +62,14 @@ class ClusterScheduler::NodeContext final : public core::SchedContext {
   obs::Recorder* recorder() const noexcept override {
     return parent_->recorder();
   }
+  void record_decision(obs::SchedDecision decision) override {
+    // Inner policies log node-local ids; the recorder names flat ones.
+    for (obs::DecisionCandidate& candidate : decision.candidates) {
+      candidate.device = flat(candidate.device);
+    }
+    decision.winner = flat(decision.winner);
+    parent_->record_decision(std::move(decision));
+  }
   const data::CoherenceDirectory* coherence() const noexcept override {
     return parent_->coherence();
   }
@@ -77,9 +86,11 @@ class ClusterScheduler::NodeContext final : public core::SchedContext {
   }
 
  private:
+  hw::DeviceId flat(hw::DeviceId local) const {
+    return static_cast<hw::DeviceId>(first_device_ + local);
+  }
   const hw::Device& global(const hw::Device& device) const {
-    return parent_->platform().device(
-        static_cast<hw::DeviceId>(first_device_ + device.id()));
+    return parent_->platform().device(flat(device.id()));
   }
 
   core::SchedContext* parent_;

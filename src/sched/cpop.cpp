@@ -116,23 +116,11 @@ void CpopScheduler::prepare(const std::vector<core::Task*>& all_tasks) {
   // monotone along edges (rank_u + rank_d decreases from parent to child
   // only when off the CP), so enforce topology explicitly.
   const std::vector<std::size_t> topo = view.graph().topological_order();
+  DataReady data_ready(view, platform, finish, placed);
   // Merge: stable placement by topo order but CP pinning preserved.
   for (std::size_t i : topo) {
     core::Task& task = *all_tasks[i];
-    const auto data_ready = [&](const hw::Device& device) {
-      double ready = 0.0;
-      for (std::size_t parent : view.graph().predecessors(i)) {
-        double arrival = finish[parent];
-        const hw::MemoryNodeId src =
-            platform.device(placed[parent]).memory_node();
-        if (src != device.memory_node()) {
-          arrival += platform.transfer_time_s(src, device.memory_node(),
-                                              view.edge_bytes(parent, i));
-        }
-        ready = std::max(ready, arrival);
-      }
-      return ready;
-    };
+    data_ready.select(i);
     const hw::Device* chosen = nullptr;
     double chosen_start = 0.0;
     double chosen_exec = 0.0;
@@ -140,8 +128,8 @@ void CpopScheduler::prepare(const std::vector<core::Task*>& all_tasks) {
       const hw::Device& device = platform.device(cp_device_);
       chosen = &device;
       chosen_exec = ctx().estimate_exec_seconds(task, device);
-      chosen_start =
-          timeline.earliest_fit(device.id(), data_ready(device), chosen_exec);
+      chosen_start = timeline.earliest_fit(device.id(), data_ready.at(device),
+                                           chosen_exec);
     } else {
       double best_eft = std::numeric_limits<double>::infinity();
       for (const hw::Device& device : platform.devices()) {
@@ -150,7 +138,7 @@ void CpopScheduler::prepare(const std::vector<core::Task*>& all_tasks) {
           continue;
         }
         const double start =
-            timeline.earliest_fit(device.id(), data_ready(device), exec);
+            timeline.earliest_fit(device.id(), data_ready.at(device), exec);
         if (start + exec < best_eft) {
           best_eft = start + exec;
           chosen = &device;

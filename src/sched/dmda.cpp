@@ -53,7 +53,7 @@ void DmdaScheduler::on_task_ready(core::Task& task) {
     decision.candidates = std::move(candidates);
     decision.winner = best->id();
     decision.reason = "min completion + locality penalty";
-    recorder->add_decision(std::move(decision));
+    ctx().record_decision(std::move(decision));
   }
   ctx().assign(task, *best);
 }

@@ -86,7 +86,7 @@ void DmdasScheduler::flush() {
       decision.candidates = std::move(candidates);
       decision.winner = best->id();
       decision.reason = "priority order, min completion";
-      recorder->add_decision(std::move(decision));
+      ctx().record_decision(std::move(decision));
     }
     ctx().assign(*task, *best);
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "perf/transfer_model.hpp"
 
@@ -86,40 +87,119 @@ std::vector<double> TaskGraphView::downward_ranks(
   });
 }
 
+DataReady::DataReady(const TaskGraphView& view, const hw::Platform& platform,
+                     const std::vector<double>& finish,
+                     const std::vector<hw::DeviceId>& placed)
+    : view_(view),
+      platform_(platform),
+      finish_(finish),
+      placed_(placed),
+      ready_(platform.memory_node_count(), 0.0),
+      known_(platform.memory_node_count(), 0) {}
+
+void DataReady::select(std::size_t task) {
+  parents_.clear();
+  for (std::size_t parent : view_.graph().predecessors(task)) {
+    parents_.push_back({finish_[parent],
+                        platform_.device(placed_[parent]).memory_node(),
+                        view_.edge_bytes(parent, task)});
+  }
+  std::fill(known_.begin(), known_.end(), 0);
+}
+
+double DataReady::at(const hw::Device& device) {
+  const hw::MemoryNodeId node = device.memory_node();
+  if (known_[node] == 0) {
+    double ready = 0.0;
+    for (const Parent& parent : parents_) {
+      double arrival = parent.finish;
+      if (parent.node != node) {
+        arrival += platform_.transfer_time_s(parent.node, node, parent.bytes);
+      }
+      ready = std::max(ready, arrival);
+    }
+    ready_[node] = ready;
+    known_[node] = 1;
+  }
+  return ready_[node];
+}
+
 double InsertionTimeline::earliest_fit(hw::DeviceId device, double ready,
                                        double duration) const {
-  const std::vector<Slot>& slots = slots_[device];
+  const Lane& lane = lanes_[device];
+  const std::vector<Slot>& slots = lane.slots;
   // Slots are sorted and non-overlapping, so their end times are ordered
   // too; skip straight past every slot that ends at or before `ready` —
   // none of them can host or constrain a fit that starts at >= ready.
   // (A zero-length slot exactly at `ready` is skipped as well: the scan
   // below then finds the same gap at `ready` the full scan would.)
-  // Without the skip, a plan-time loop over N tasks goes quadratic: HEFT
-  // probes every device timeline once per task, and each probe walked
-  // the whole booked prefix.
-  auto it = std::partition_point(
-      slots.begin(), slots.end(),
-      [ready](const Slot& slot) { return slot.end <= ready; });
+  std::size_t i = static_cast<std::size_t>(
+      std::partition_point(
+          slots.begin(), slots.end(),
+          [ready](const Slot& slot) { return slot.end <= ready; }) -
+      slots.begin());
   double cursor = ready;
-  for (; it != slots.end(); ++it) {
-    if (cursor + duration <= it->start) {
-      return cursor;
+  const std::size_t n = slots.size();
+  while (i < n) {
+    const std::size_t block_end = std::min(n, (i / kBlock + 1) * kBlock);
+    // At a block's first slot, the whole block can be passed over when
+    // neither that slot's own gap (tested exactly) nor any inner gap
+    // (bounded by fit_bound) can hold the task. Passing over a slot only
+    // raises the cursor to its end, so the block raises it to max_end.
+    if (i % kBlock == 0) {
+      const Block& block = lane.blocks[i / kBlock];
+      if (block.fit_bound < duration && cursor + duration > slots[i].start) {
+        cursor = std::max(cursor, block.max_end);
+        i = block_end;
+        continue;
+      }
     }
-    cursor = std::max(cursor, it->end);
+    for (; i < block_end; ++i) {
+      if (cursor + duration <= slots[i].start) {
+        return cursor;
+      }
+      cursor = std::max(cursor, slots[i].end);
+    }
   }
   return cursor;
 }
 
 void InsertionTimeline::book(hw::DeviceId device, double start,
                              double duration) {
-  std::vector<Slot>& slots = slots_[device];
+  HETFLOW_REQUIRE_MSG(start >= 0.0 && duration >= 0.0,
+                      "timeline slots need a non-negative start and length");
+  Lane& lane = lanes_[device];
   const Slot inserted{start, start + duration};
-  slots.insert(
-      std::upper_bound(slots.begin(), slots.end(), inserted,
-                       [](const Slot& a, const Slot& b) {
-                         return a.start < b.start;
-                       }),
-      inserted);
+  const auto at = std::upper_bound(lane.slots.begin(), lane.slots.end(),
+                                   inserted, [](const Slot& a, const Slot& b) {
+                                     return a.start < b.start;
+                                   });
+  const auto index = static_cast<std::size_t>(at - lane.slots.begin());
+  lane.slots.insert(at, inserted);
+  refresh(lane, index / kBlock);
+}
+
+void InsertionTimeline::refresh(Lane& lane, std::size_t first) {
+  const std::vector<Slot>& slots = lane.slots;
+  const std::size_t n = slots.size();
+  lane.blocks.resize((n + kBlock - 1) / kBlock);
+  for (std::size_t b = first; b < lane.blocks.size(); ++b) {
+    const std::size_t lo = b * kBlock;
+    const std::size_t hi = std::min(n, lo + kBlock);
+    double max_end = slots[lo].end;
+    double max_gap = -std::numeric_limits<double>::infinity();
+    for (std::size_t j = lo + 1; j < hi; ++j) {
+      max_end = std::max(max_end, slots[j].end);
+      max_gap = std::max(max_gap, slots[j].start - slots[j - 1].end);
+    }
+    // A fit at inner slot j needs cursor + d <= start[j] with cursor >=
+    // end[j-1] >= 0; in exact arithmetic that implies start[j] - end[j-1]
+    // >= d. Rounding the sum and the difference moves each by at most
+    // 2^-53 of start[j], so the bound adds 2^-48 of the block's latest
+    // start (16 or more ulps of any start in the block): pruning stays
+    // conservative, and a gap a few ulps short of d goes to the exact test.
+    lane.blocks[b] = {max_end, max_gap + slots[hi - 1].start * 0x1p-48};
+  }
 }
 
 }  // namespace hetflow::sched

@@ -46,9 +46,11 @@ void HeftScheduler::prepare(const std::vector<core::Task*>& all_tasks) {
   InsertionTimeline timeline(platform.device_count());
   std::vector<double> actual_finish(all_tasks.size(), 0.0);
   std::vector<hw::DeviceId> placed_on(all_tasks.size(), 0);
+  DataReady data_ready(view, platform, actual_finish, placed_on);
 
   for (std::size_t i : order) {
     core::Task& task = *all_tasks[i];
+    data_ready.select(i);
     double best_eft = std::numeric_limits<double>::infinity();
     double best_start = 0.0;
     const hw::Device* best_device = nullptr;
@@ -57,19 +59,8 @@ void HeftScheduler::prepare(const std::vector<core::Task*>& all_tasks) {
       if (!std::isfinite(exec)) {
         continue;
       }
-      // Data-ready time given parent placements.
-      double ready = 0.0;
-      for (std::size_t parent : view.graph().predecessors(i)) {
-        double arrival = actual_finish[parent];
-        const hw::MemoryNodeId src =
-            platform.device(placed_on[parent]).memory_node();
-        if (src != device.memory_node()) {
-          arrival += platform.transfer_time_s(src, device.memory_node(),
-                                              view.edge_bytes(parent, i));
-        }
-        ready = std::max(ready, arrival);
-      }
-      const double start = timeline.earliest_fit(device.id(), ready, exec);
+      const double start =
+          timeline.earliest_fit(device.id(), data_ready.at(device), exec);
       if (start + exec < best_eft) {
         best_eft = start + exec;
         best_start = start;

@@ -50,7 +50,7 @@ void MctScheduler::on_task_ready(core::Task& task) {
     decision.candidates = std::move(candidates);
     decision.winner = best->id();
     decision.reason = "min completion (data-blind)";
-    recorder->add_decision(std::move(decision));
+    ctx().record_decision(std::move(decision));
   }
   ctx().assign(task, *best);
 }

@@ -81,7 +81,9 @@ void PeftScheduler::prepare(const std::vector<core::Task*>& all_tasks) {
   InsertionTimeline timeline(devices);
   std::vector<double> finish(view.size(), 0.0);
   std::vector<hw::DeviceId> placed(view.size(), 0);
+  DataReady data_ready(view, platform, finish, placed);
   for (std::size_t i : order) {
+    data_ready.select(i);
     const hw::Device* best_device = nullptr;
     double best_score = std::numeric_limits<double>::infinity();
     double best_start = 0.0;
@@ -90,19 +92,8 @@ void PeftScheduler::prepare(const std::vector<core::Task*>& all_tasks) {
       if (!std::isfinite(exec[i][device.id()])) {
         continue;
       }
-      double ready = 0.0;
-      for (std::size_t parent : view.graph().predecessors(i)) {
-        double arrival = finish[parent];
-        const hw::MemoryNodeId src =
-            platform.device(placed[parent]).memory_node();
-        if (src != device.memory_node()) {
-          arrival += platform.transfer_time_s(src, device.memory_node(),
-                                              view.edge_bytes(parent, i));
-        }
-        ready = std::max(ready, arrival);
-      }
       const double start = timeline.earliest_fit(
-          device.id(), ready, exec[i][device.id()]);
+          device.id(), data_ready.at(device), exec[i][device.id()]);
       const double eft = start + exec[i][device.id()];
       // PEFT's objective: finish time plus the optimistic remainder.
       const double score = eft + oct[i][device.id()];

@@ -14,8 +14,7 @@ namespace {
 /// LAST record per task names the device it actually ran on.
 void log_placement(core::SchedContext& ctx, const core::Task& task,
                    const hw::Device& device, std::string reason) {
-  obs::Recorder* recorder = ctx.recorder();
-  if (recorder == nullptr) {
+  if (ctx.recorder() == nullptr) {
     return;
   }
   obs::SchedDecision decision;
@@ -29,7 +28,7 @@ void log_placement(core::SchedContext& ctx, const core::Task& task,
        ctx.device_blacklisted(device)});
   decision.winner = device.id();
   decision.reason = std::move(reason);
-  recorder->add_decision(std::move(decision));
+  ctx.record_decision(std::move(decision));
 }
 
 }  // namespace

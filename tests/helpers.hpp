@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -55,6 +58,32 @@ inline std::map<std::uint64_t, std::pair<double, double>> exec_windows(
     }
   }
   return windows;
+}
+
+/// Byte-exact comparison of `actual` against the reference checked in at
+/// `path` or, when HETFLOW_REGEN_GOLDEN is set to anything but "0",
+/// re-blessing of that reference from `actual`.
+inline void expect_golden_file(const std::string& path,
+                               const std::string& actual) {
+  const char* regen = std::getenv("HETFLOW_REGEN_GOLDEN");
+  if (regen != nullptr && *regen != '\0' && std::string(regen) != "0") {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << actual;
+    return;
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream expected;
+  if (in.good()) {
+    expected << in.rdbuf();
+  }
+  ASSERT_FALSE(expected.str().empty())
+      << "missing golden file " << path
+      << " — run with HETFLOW_REGEN_GOLDEN=1 to create it";
+  EXPECT_EQ(actual, expected.str())
+      << path << " drifted from its golden reference; if the change is "
+         "intentional, regenerate with HETFLOW_REGEN_GOLDEN=1 and review "
+         "the diff";
 }
 
 }  // namespace hetflow::testing

@@ -10,10 +10,7 @@
 //   $ HETFLOW_REGEN_GOLDEN=1 ./obs_golden_test && git diff tests/golden/
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 
 #include "cluster_fault_scenario.hpp"
@@ -34,45 +31,9 @@
 namespace hetflow {
 namespace {
 
-bool regen_requested() {
-  const char* value = std::getenv("HETFLOW_REGEN_GOLDEN");
-  return value != nullptr && *value != '\0' && std::string(value) != "0";
-}
-
 std::string golden_path(const std::string& scenario,
                         const std::string& file) {
   return std::string(HETFLOW_GOLDEN_DIR) + "/" + scenario + "/" + file;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    return {};
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
-
-/// Byte-exact comparison against the checked-in reference, or (in regen
-/// mode) re-blessing of the reference from the current output.
-void expect_golden(const std::string& scenario, const std::string& file,
-                   const std::string& actual) {
-  const std::string path = golden_path(scenario, file);
-  if (regen_requested()) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << actual;
-    return;
-  }
-  const std::string expected = read_file(path);
-  ASSERT_FALSE(expected.empty())
-      << "missing golden file " << path
-      << " — run with HETFLOW_REGEN_GOLDEN=1 to create it";
-  EXPECT_EQ(actual, expected)
-      << file << " drifted from its golden reference (" << path
-      << "); if the change is intentional, regenerate with "
-         "HETFLOW_REGEN_GOLDEN=1 and review the diff";
 }
 
 struct Artifacts {
@@ -95,10 +56,14 @@ Artifacts collect(const hw::Platform& platform, core::Runtime& runtime) {
 void check_scenario(const std::string& scenario, const hw::Platform& platform,
                     core::Runtime& runtime) {
   const Artifacts artifacts = collect(platform, runtime);
-  expect_golden(scenario, "metrics.json", artifacts.metrics_json);
-  expect_golden(scenario, "metrics.csv", artifacts.metrics_csv);
-  expect_golden(scenario, "chrome_trace.json", artifacts.chrome_trace);
-  expect_golden(scenario, "decisions.jsonl", artifacts.decisions);
+  testing::expect_golden_file(golden_path(scenario, "metrics.json"),
+                              artifacts.metrics_json);
+  testing::expect_golden_file(golden_path(scenario, "metrics.csv"),
+                              artifacts.metrics_csv);
+  testing::expect_golden_file(golden_path(scenario, "chrome_trace.json"),
+                              artifacts.chrome_trace);
+  testing::expect_golden_file(golden_path(scenario, "decisions.jsonl"),
+                              artifacts.decisions);
 }
 
 TEST(ObsGolden, MontageOnWorkstationWithDmda) {

@@ -34,18 +34,22 @@ namespace {
 constexpr const char* kSchedulers[] = {"mct", "dmda", "dmdas",
                                        "work-stealing"};
 
-/// An instrumented run of a generated workflow; noise keeps exec times
-/// irregular so accidental reconciliations can't pass. (Runtime is not
-/// movable — the scheduler context points back into it — so it lives on
-/// the heap.)
-std::unique_ptr<core::Runtime> make_run(const hw::Platform& platform,
-                                        const std::string& scheduler) {
+/// Metrics on, and noise that keeps exec times irregular so accidental
+/// reconciliations can't pass.
+core::RuntimeOptions instrumented_options() {
   core::RuntimeOptions options;
   options.metrics = true;
   options.seed = 13;
   options.noise_cv = 0.15;
+  return options;
+}
+
+/// An instrumented run of a generated workflow. (Runtime is not movable —
+/// the scheduler context points back into it — so it lives on the heap.)
+std::unique_ptr<core::Runtime> make_run(const hw::Platform& platform,
+                                        const std::string& scheduler) {
   auto runtime = std::make_unique<core::Runtime>(
-      platform, sched::make_scheduler(scheduler), options);
+      platform, sched::make_scheduler(scheduler), instrumented_options());
   workflow::submit_workflow(*runtime, workflow::make_montage(10),
                             workflow::CodeletLibrary::standard());
   runtime->wait_all();
@@ -161,35 +165,60 @@ TEST(ObsProperty, MetricsSnapshotReconcilesWithRunStats) {
             static_cast<double>(faulty->stats().transfers.bytes_moved));
 }
 
+/// The LAST logged decision for each completed task names the device the
+/// audit snapshot says it ran on (pull-mode policies log both the
+/// enqueue-time and the hand-off decision).
+void expect_last_decision_names_run_device(core::Runtime& rt,
+                                           const std::string& label) {
+  std::map<std::uint64_t, hw::DeviceId> logged;
+  for (const obs::SchedDecision& d : rt.recorder()->decisions()) {
+    logged[d.task] = d.winner;
+  }
+  ASSERT_FALSE(logged.empty()) << label;
+
+  const check::AuditRecord audit = check::snapshot_audit(rt);
+  std::size_t checked = 0;
+  for (const check::TaskRecord& task : audit.run.tasks) {
+    if (!task.completed) {
+      continue;
+    }
+    const auto it = logged.find(task.id);
+    ASSERT_NE(it, logged.end())
+        << label << " never logged a decision for task " << task.id;
+    EXPECT_EQ(static_cast<std::uint32_t>(it->second), task.device)
+        << label << " decision log winner disagrees with the audit "
+        << "for task " << task.id << " (" << task.name << ")";
+    ++checked;
+  }
+  EXPECT_EQ(checked, rt.stats().tasks_completed) << label;
+}
+
 TEST(ObsProperty, LastDecisionWinnerIsTheDeviceTheTaskRanOn) {
   const hw::Platform p = hw::make_workstation();
   for (const char* scheduler : kSchedulers) {
     const std::unique_ptr<core::Runtime> run = make_run(p, scheduler);
-    core::Runtime& rt = *run;
+    expect_last_decision_names_run_device(*run, scheduler);
+  }
 
-    // Last decision per task wins: pull-mode policies log both the
-    // enqueue-time and the hand-off decision.
-    std::map<std::uint64_t, hw::DeviceId> logged;
-    for (const obs::SchedDecision& d : rt.recorder()->decisions()) {
-      logged[d.task] = d.winner;
+  // Under a 2-node cluster every inner policy sees its node's devices
+  // numbered from 0; the log must still name flat platform ids, so tasks
+  // placed on node 1 are checked against the devices they really ran on.
+  const hw::Cluster cluster = hw::make_hpc_cluster(2, 4, 1);
+  for (const char* scheduler : kSchedulers) {
+    core::Runtime rt(cluster.platform(),
+                     sched::make_cluster_scheduler(cluster, scheduler),
+                     instrumented_options());
+    workflow::submit_workflow_scattered(rt, workflow::make_montage(10),
+                                        workflow::CodeletLibrary::standard(),
+                                        testing::gateways(cluster));
+    rt.wait_all();
+    bool ran_on_node_1 = false;
+    for (const hw::DeviceId device : cluster.devices_on(1)) {
+      ran_on_node_1 |= rt.stats().devices[device].tasks_completed > 0;
     }
-    ASSERT_FALSE(logged.empty()) << scheduler;
-
-    const check::AuditRecord audit = check::snapshot_audit(rt);
-    std::size_t checked = 0;
-    for (const check::TaskRecord& task : audit.run.tasks) {
-      if (!task.completed) {
-        continue;
-      }
-      const auto it = logged.find(task.id);
-      ASSERT_NE(it, logged.end())
-          << scheduler << " never logged a decision for task " << task.id;
-      EXPECT_EQ(static_cast<std::uint32_t>(it->second), task.device)
-          << scheduler << " decision log winner disagrees with the audit "
-          << "for task " << task.id << " (" << task.name << ")";
-      ++checked;
-    }
-    EXPECT_EQ(checked, rt.stats().tasks_completed) << scheduler;
+    ASSERT_TRUE(ran_on_node_1) << scheduler << " left cluster node 1 idle";
+    expect_last_decision_names_run_device(
+        rt, std::string("cluster:") + scheduler);
   }
 }
 
