@@ -44,14 +44,14 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 jobs="${1:-$(nproc)}"
 cd "$repo_root"
 
-echo "=== [1/10] build (WERROR) ==="
+echo "=== [1/11] build (WERROR) ==="
 cmake -B build-ci -S . -DHETFLOW_WERROR=ON
 cmake --build build-ci -j "$jobs"
 
-echo "=== [2/10] ctest (plain) ==="
+echo "=== [2/11] ctest (plain) ==="
 ctest --test-dir build-ci --output-on-failure -j "$jobs"
 
-echo "=== [3/10] core-overhead bench smoke (10^4 tasks) ==="
+echo "=== [3/11] core-overhead bench smoke (10^4 tasks) ==="
 # Catches hot-path regressions that unit tests miss: the smoke mode runs
 # every DAG shape at 10^4 tasks plus the HEFT plan sanity, and exits
 # non-zero on zero throughput, a failed count cross-check, or a blown
@@ -68,7 +68,7 @@ echo "=== [3/10] core-overhead bench smoke (10^4 tasks) ==="
 # full-run rows anyway — the table is for the reviewer's eyes.
 python3 tools/bench_diff.py BENCH_core.json build-ci/bench/BENCH_core.json || true
 
-echo "=== [4/10] serve front-end smoke ==="
+echo "=== [4/11] serve front-end smoke ==="
 # The serve smoke drives the closed-loop multi-tenant load generator at
 # two scale points and fails on any bounded-queue or bounded-p99
 # violation; the fairness/starvation detectors prove themselves live in

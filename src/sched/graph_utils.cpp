@@ -14,24 +14,35 @@ TaskGraphView TaskGraphView::build(const core::SchedContext& ctx,
   view.tasks_ = tasks;
   view.graph_.resize(tasks.size());
   view.mean_exec_.assign(tasks.size(), 0.0);
+  view.in_edge_begin_.reserve(tasks.size() + 1);
 
-  std::unordered_map<core::TaskId, std::size_t> index;
-  index.reserve(tasks.size());
+  // Task id -> view index, as a table over the ids' range: the open tasks
+  // of a wave are nearly contiguous ids, so the table stays about the
+  // size of the view and a lookup is one load.
+  constexpr std::size_t kAbsent = std::numeric_limits<std::size_t>::max();
+  core::TaskId lo = std::numeric_limits<core::TaskId>::max();
+  core::TaskId hi = 0;
+  for (const core::Task* task : tasks) {
+    lo = std::min(lo, task->id());
+    hi = std::max(hi, task->id());
+  }
+  std::vector<std::size_t> index(tasks.empty() ? 0 : hi - lo + 1, kAbsent);
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    index[tasks[i]->id()] = i;
+    index[tasks[i]->id() - lo] = i;
   }
 
   const data::DataRegistry& registry = ctx.data_registry();
-  // Workflow DAGs are sparse — a couple of parents per task — so sizing
-  // for 2 edges per task absorbs nearly every rehash up front.
+  // Workflow DAGs are sparse — a couple of parents per task.
   view.edge_bytes_.reserve(tasks.size() * 2);
   for (std::size_t child = 0; child < tasks.size(); ++child) {
+    view.in_edge_begin_.push_back(view.edge_bytes_.size());
     for (core::TaskId parent_id : tasks[child]->dependencies) {
-      const auto it = index.find(parent_id);
-      if (it == index.end()) {
+      const std::size_t parent = parent_id < lo || parent_id > hi
+                                     ? kAbsent
+                                     : index[parent_id - lo];
+      if (parent == kAbsent) {
         continue;  // parent completed in an earlier wave
       }
-      const std::size_t parent = it->second;
       view.graph_.add_edge(parent, child);
       // Edge payload: handles the parent writes that the child reads.
       std::uint64_t bytes = 0;
@@ -46,9 +57,10 @@ TaskGraphView TaskGraphView::build(const core::SchedContext& ctx,
           }
         }
       }
-      view.edge_bytes_[key(parent, child)] = bytes;
+      view.edge_bytes_.push_back(bytes);
     }
   }
+  view.in_edge_begin_.push_back(view.edge_bytes_.size());
 
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     double total = 0.0;
@@ -67,24 +79,53 @@ TaskGraphView TaskGraphView::build(const core::SchedContext& ctx,
 }
 
 std::uint64_t TaskGraphView::edge_bytes(std::size_t a, std::size_t b) const {
-  const auto it = edge_bytes_.find(key(a, b));
-  return it == edge_bytes_.end() ? 0 : it->second;
+  const std::vector<std::size_t>& parents = graph_.predecessors(b);
+  for (std::size_t k = 0; k < parents.size(); ++k) {
+    if (parents[k] == a) {
+      return edge_bytes_[in_edge_begin_[b] + k];
+    }
+  }
+  return 0;
 }
+
+// Both ranks walk each node's in-edges, whose bytes sit beside the
+// predecessor list, instead of looking up every out-edge's bytes. The
+// recurrences take a max over the same set of terms either way, so the
+// ranks are bit-identical to util::Digraph's successor-side versions.
 
 std::vector<double> TaskGraphView::upward_ranks(
     const hw::Platform& platform) const {
   const perf::TransferModel comm(platform);
-  return graph_.upward_ranks(mean_exec_, [&](std::size_t a, std::size_t b) {
-    return comm.mean_time_s(edge_bytes(a, b));
-  });
+  std::vector<double> rank(size(), 0.0);
+  std::vector<double> best(size(), 0.0);  // max over successors so far
+  const std::vector<std::size_t> order = graph_.topological_order();
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const std::size_t node = *it;
+    rank[node] = mean_exec_[node] + best[node];
+    const std::vector<std::size_t>& parents = graph_.predecessors(node);
+    const std::span<const std::uint64_t> bytes = in_edge_bytes(node);
+    for (std::size_t k = 0; k < parents.size(); ++k) {
+      best[parents[k]] = std::max(best[parents[k]],
+                                  comm.mean_time_s(bytes[k]) + rank[node]);
+    }
+  }
+  return rank;
 }
 
 std::vector<double> TaskGraphView::downward_ranks(
     const hw::Platform& platform) const {
   const perf::TransferModel comm(platform);
-  return graph_.downward_ranks(mean_exec_, [&](std::size_t a, std::size_t b) {
-    return comm.mean_time_s(edge_bytes(a, b));
-  });
+  std::vector<double> rank(size(), 0.0);
+  for (const std::size_t node : graph_.topological_order()) {
+    const std::vector<std::size_t>& parents = graph_.predecessors(node);
+    const std::span<const std::uint64_t> bytes = in_edge_bytes(node);
+    for (std::size_t k = 0; k < parents.size(); ++k) {
+      const std::size_t parent = parents[k];
+      rank[node] = std::max(rank[node], rank[parent] + mean_exec_[parent] +
+                                            comm.mean_time_s(bytes[k]));
+    }
+  }
+  return rank;
 }
 
 DataReady::DataReady(const TaskGraphView& view, const hw::Platform& platform,
@@ -99,10 +140,12 @@ DataReady::DataReady(const TaskGraphView& view, const hw::Platform& platform,
 
 void DataReady::select(std::size_t task) {
   parents_.clear();
-  for (std::size_t parent : view_.graph().predecessors(task)) {
-    parents_.push_back({finish_[parent],
-                        platform_.device(placed_[parent]).memory_node(),
-                        view_.edge_bytes(parent, task)});
+  const std::vector<std::size_t>& parents = view_.graph().predecessors(task);
+  const std::span<const std::uint64_t> bytes = view_.in_edge_bytes(task);
+  for (std::size_t k = 0; k < parents.size(); ++k) {
+    parents_.push_back({finish_[parents[k]],
+                        platform_.device(placed_[parents[k]]).memory_node(),
+                        bytes[k]});
   }
   std::fill(known_.begin(), known_.end(), 0);
 }

@@ -1,10 +1,11 @@
-// Shared machinery for static list schedulers (HEFT, CPOP,
-// critical-path): a dense-index view of the open task graph with edge
-// byte counts and per-task mean execution costs.
+// Shared machinery for the list schedulers that rank or plan over the
+// open task graph (HEFT, CPOP, PEFT, critical-path, dmdas): a dense-index
+// view of the graph with edge byte counts and per-task mean execution
+// costs.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "core/scheduler.hpp"
@@ -15,7 +16,8 @@ namespace hetflow::sched {
 class TaskGraphView {
  public:
   /// Builds the view over `tasks` (dependencies to tasks outside the set
-  /// — already completed in earlier waves — are ignored).
+  /// — already completed in earlier waves — are ignored). A dependency
+  /// listed twice yields two edges, each with the edge's bytes.
   static TaskGraphView build(const core::SchedContext& ctx,
                              const std::vector<core::Task*>& tasks);
 
@@ -26,8 +28,16 @@ class TaskGraphView {
   /// Mean finite execution estimate across devices, per task index.
   const std::vector<double>& mean_exec() const noexcept { return mean_exec_; }
 
-  /// Bytes flowing over dependency edge a -> b (0 if none recorded).
+  /// Bytes flowing over dependency edge a -> b (0 if there is no edge).
+  /// Scans b's predecessor list.
   std::uint64_t edge_bytes(std::size_t a, std::size_t b) const;
+  /// Bytes over each edge into `child`, aligned with
+  /// graph().predecessors(child).
+  std::span<const std::uint64_t> in_edge_bytes(std::size_t child) const {
+    return std::span<const std::uint64_t>(edge_bytes_)
+        .subspan(in_edge_begin_[child],
+                 in_edge_begin_[child + 1] - in_edge_begin_[child]);
+  }
 
   /// HEFT upward ranks using mean exec + mean communication costs.
   std::vector<double> upward_ranks(const hw::Platform& platform) const;
@@ -35,13 +45,12 @@ class TaskGraphView {
   std::vector<double> downward_ranks(const hw::Platform& platform) const;
 
  private:
-  static std::uint64_t key(std::size_t a, std::size_t b) noexcept {
-    return (static_cast<std::uint64_t>(a) << 32) | b;
-  }
-
   std::vector<core::Task*> tasks_;
   util::Digraph graph_;
-  std::unordered_map<std::uint64_t, std::uint64_t> edge_bytes_;
+  /// Edge bytes, child by child, each child's run aligned with its
+  /// predecessor list; child c's run starts at in_edge_begin_[c].
+  std::vector<std::uint64_t> edge_bytes_;
+  std::vector<std::size_t> in_edge_begin_;
   std::vector<double> mean_exec_;
 };
 

@@ -41,19 +41,27 @@ void PeftScheduler::prepare(const std::vector<core::Task*>& all_tasks) {
   const std::vector<std::size_t> order = view.graph().topological_order();
   std::vector<std::vector<double>> oct(view.size(),
                                        std::vector<double>(devices, 0.0));
+  // Mean comm time per edge t -> succ, looked up once per edge rather
+  // than once per (edge, device).
+  std::vector<double> succ_comm;
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const std::size_t t = *it;
+    const std::vector<std::size_t>& succs = view.graph().successors(t);
+    succ_comm.clear();
+    for (std::size_t s : succs) {
+      succ_comm.push_back(comm.mean_time_s(view.edge_bytes(t, s)));
+    }
     for (std::size_t p = 0; p < devices; ++p) {
       double worst = 0.0;
-      for (std::size_t s : view.graph().successors(t)) {
-        const double avg_comm = comm.mean_time_s(view.edge_bytes(t, s));
+      for (std::size_t k = 0; k < succs.size(); ++k) {
+        const std::size_t s = succs[k];
         double best = std::numeric_limits<double>::infinity();
         for (std::size_t q = 0; q < devices; ++q) {
           if (!std::isfinite(exec[s][q])) {
             continue;
           }
           best = std::min(best, oct[s][q] + exec[s][q] +
-                                    (q == p ? 0.0 : avg_comm));
+                                    (q == p ? 0.0 : succ_comm[k]));
         }
         worst = std::max(worst, best);
       }

@@ -7,6 +7,7 @@
 
 #include "core/runtime.hpp"
 #include "sched/registry.hpp"
+#include "serve/names.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -52,7 +53,7 @@ TenantId ServeEngine::add_tenant(TenantSpec spec) {
     spec.max_in_flight = config_.max_in_flight;
   }
   if (spec.name.empty()) {
-    spec.name = util::format("tenant-%zu", queue_.tenant_count());
+    spec.name = NameBuilder("tenant-", queue_.tenant_count()).stem();
   }
   if (config_.audit) {
     monitor_.add_tenant(spec.weight, spec.priority, spec.max_in_flight);
@@ -132,14 +133,16 @@ std::vector<core::TaskId> ServeEngine::materialize(core::Runtime& rt,
   const JobSpec& spec = job.spec;
   const double priority =
       static_cast<double>(queue_.spec(job.tenant).priority);
-  const std::string prefix = util::format("j%llu", static_cast<unsigned long long>(job.ticket));
   std::vector<core::TaskId> tasks;
   tasks.reserve(spec.tasks);
-  const auto data_name = [&](std::uint32_t i) {
-    return util::format("%s.d%u", prefix.c_str(), i);
+  // Each name is consumed (copied) by submit/register_data before the
+  // builder writes the next one.
+  NameBuilder name("j", job.ticket);
+  const auto data_name = [&name](std::uint32_t i) {
+    return name.with(".d", i);
   };
-  const auto task_name = [&](std::uint32_t i) {
-    return util::format("%s.t%u", prefix.c_str(), i);
+  const auto task_name = [&name](std::uint32_t i) {
+    return name.with(".t", i);
   };
   switch (spec.shape) {
     case JobShape::Chain: {

@@ -1,15 +1,20 @@
 // Serve policy units: admission decisions, the fair-share release rule
-// (heap implementation vs a reference linear scan), and the JSONL
+// (the incremental heap vs a reference linear scan and a reference model
+// of the whole queue), the generated job and tenant names, and the JSONL
 // protocol parser.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "serve/admission.hpp"
 #include "serve/fair_share.hpp"
+#include "serve/names.hpp"
 #include "serve/protocol.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace hetflow::serve {
 namespace {
@@ -160,6 +165,217 @@ TEST(FairShare, HeapAgreesWithLinearReferenceUnderRandomLoad) {
         queue.note_consumed(expected, rng.uniform(0.1, 2.0));
       }
     }
+  }
+}
+
+TEST(FairShare, PushToCappedTenantWaitsForNextBatch) {
+  FairShareQueue queue;
+  const TenantId capped = queue.add_tenant(spec_of(1.0, 0, 100, 1));
+  const TenantId other = queue.add_tenant(spec_of(1.0, 0, 100, 1));
+  queue.note_consumed(other, 1.0);
+  queue.push(capped, 0);
+  queue.begin_batch();
+  EXPECT_EQ(queue.pop(queue.next_tenant()), 0u);
+  queue.push(capped, 1);  // capped this batch: stays out
+  EXPECT_EQ(queue.next_tenant(), kInvalidTenant);
+  queue.push(other, 2);
+  EXPECT_EQ(queue.pop(queue.next_tenant()), 2u);
+  EXPECT_FALSE(queue.any_eligible());
+  queue.begin_batch();  // re-admits `capped`, whose backlog is non-empty
+  EXPECT_EQ(queue.released_in_batch(capped), 0u);
+  EXPECT_EQ(queue.next_tenant(), capped);
+  EXPECT_EQ(queue.pop(capped), 1u);
+}
+
+TEST(FairShare, ConsumptionOfIneligibleTenantCountsOnReturn) {
+  FairShareQueue queue;
+  const TenantId a = queue.add_tenant(spec_of(1.0, 0));
+  const TenantId b = queue.add_tenant(spec_of(1.0, 0));
+  queue.note_consumed(a, 5.0);  // empty backlog: not in the heap
+  queue.note_consumed(b, 1.0);
+  queue.push(a, 0);
+  queue.push(b, 1);
+  queue.begin_batch();
+  EXPECT_EQ(queue.next_tenant(), b);
+  queue.note_consumed(b, 10.0);  // eligible tenant re-keyed in place
+  EXPECT_EQ(queue.next_tenant(), a);
+}
+
+TEST(FairShare, ExactDeficitTiesResolveById) {
+  FairShareQueue queue;
+  const TenantId a = queue.add_tenant(spec_of(2.0, 0));
+  const TenantId b = queue.add_tenant(spec_of(1.0, 0));
+  const TenantId c = queue.add_tenant(spec_of(4.0, 0));
+  queue.note_consumed(c, 4.0);  // every tenant's deficit is exactly 1.0
+  queue.note_consumed(b, 1.0);
+  queue.note_consumed(a, 2.0);
+  queue.push(c, 0);
+  queue.push(b, 1);
+  queue.push(a, 2);
+  queue.begin_batch();
+  EXPECT_EQ(queue.pop(queue.next_tenant()), 2u);
+  EXPECT_EQ(queue.pop(queue.next_tenant()), 1u);
+  EXPECT_EQ(queue.pop(queue.next_tenant()), 0u);
+}
+
+/// Reference model of the whole queue, kept apart from FairShareQueue:
+/// plain per-tenant FIFOs and counters, begin_batch zeroing every count,
+/// and the release rule evaluated by a linear scan.
+class ReferenceQueue {
+ public:
+  void add_tenant(const TenantSpec& spec) {
+    Tenant tenant;
+    tenant.spec = spec;
+    tenants_.push_back(tenant);
+  }
+  void push(TenantId t, JobRef job) { tenants_[t].backlog.push_back(job); }
+  void begin_batch() {
+    for (Tenant& tenant : tenants_) {
+      tenant.released = 0;
+    }
+  }
+  void note_consumed(TenantId t, double seconds) {
+    tenants_[t].consumed += seconds;
+  }
+  JobRef pop(TenantId t) {
+    Tenant& tenant = tenants_[t];
+    const JobRef job = tenant.backlog.front();
+    tenant.backlog.erase(tenant.backlog.begin());
+    ++tenant.released;
+    return job;
+  }
+  TenantId next_tenant() const {
+    TenantId best = kInvalidTenant;
+    for (TenantId t = 0; t < tenants_.size(); ++t) {
+      const Tenant& tenant = tenants_[t];
+      if (tenant.backlog.empty() ||
+          tenant.released >= tenant.spec.max_in_flight) {
+        continue;
+      }
+      if (best == kInvalidTenant ||
+          tenant.spec.priority > tenants_[best].spec.priority ||
+          (tenant.spec.priority == tenants_[best].spec.priority &&
+           norm(t) < norm(best))) {
+        best = t;
+      }
+    }
+    return best;
+  }
+  std::size_t backlog_size(TenantId t) const {
+    return tenants_[t].backlog.size();
+  }
+  std::size_t released(TenantId t) const { return tenants_[t].released; }
+
+ private:
+  struct Tenant {
+    TenantSpec spec;
+    std::vector<JobRef> backlog;
+    std::size_t released = 0;
+    double consumed = 0.0;
+  };
+  double norm(TenantId t) const {
+    return tenants_[t].consumed / tenants_[t].spec.weight;
+  }
+  std::vector<Tenant> tenants_;
+};
+
+TEST(FairShare, IncrementalHeapAgreesWithReferenceModel) {
+  // 10^3 tenants over 100 batches. Consumption comes in multiples of 0.5
+  // against weights 1, 2 and 4, so exact deficit ties are common; caps of
+  // 1-3 against backlogs up to 6 make begin_batch re-admit capped
+  // tenants; pushes and consumption land on tenants in every state
+  // (eligible, capped, empty) mid-batch as well as between batches.
+  constexpr TenantId kTenants = 1000;
+  util::Rng rng(16);
+  FairShareQueue queue;
+  ReferenceQueue reference;
+  for (TenantId t = 0; t < kTenants; ++t) {
+    const TenantSpec spec =
+        spec_of(static_cast<double>(1u << (t % 3)),
+                static_cast<int>(t % 7 == 0), 6, 1 + t % 3);
+    queue.add_tenant(spec);
+    reference.add_tenant(spec);
+  }
+  JobRef next_job = 0;
+  std::size_t capped_seen = 0;
+  std::size_t released_total = 0;
+  const auto random_tenant = [&rng] {
+    return static_cast<TenantId>(rng.uniform_int(0, kTenants - 1));
+  };
+  const auto push_some = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      const TenantId t = random_tenant();
+      if (queue.backlog_size(t) < queue.spec(t).backlog_cap) {
+        queue.push(t, next_job);
+        reference.push(t, next_job);
+        ++next_job;
+      }
+    }
+  };
+  const auto consume_some = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      const TenantId t = random_tenant();
+      const double seconds = 0.5 * static_cast<double>(rng.uniform_int(1, 4));
+      queue.note_consumed(t, seconds);
+      reference.note_consumed(t, seconds);
+    }
+  };
+  for (int batch = 0; batch < 100; ++batch) {
+    push_some(400);
+    consume_some(50);
+    queue.begin_batch();
+    reference.begin_batch();
+    for (std::size_t released = 0; released < 300; ++released) {
+      const TenantId expected = reference.next_tenant();
+      ASSERT_EQ(queue.next_tenant(), expected) << "batch " << batch;
+      ASSERT_EQ(queue.any_eligible(), expected != kInvalidTenant);
+      if (expected == kInvalidTenant) {
+        break;
+      }
+      ASSERT_EQ(queue.pop(expected), reference.pop(expected));
+      ASSERT_EQ(queue.released_in_batch(expected),
+                reference.released(expected));
+      ASSERT_EQ(queue.backlog_size(expected),
+                reference.backlog_size(expected));
+      ++released_total;
+      if (reference.released(expected) == queue.spec(expected).max_in_flight &&
+          reference.backlog_size(expected) > 0) {
+        ++capped_seen;
+      }
+      if (rng.uniform_int(0, 4) == 0) {
+        push_some(3);
+      }
+      if (rng.uniform_int(0, 4) == 0) {
+        consume_some(2);
+      }
+    }
+  }
+  EXPECT_EQ(queue.total_backlog(), next_job - released_total);
+  EXPECT_GT(capped_seen, 1000u);  // begin_batch re-admission is exercised
+}
+
+TEST(Names, MatchPrintfFormatting) {
+  const auto task_name = [](std::uint64_t ticket, std::uint32_t i) {
+    return util::format("j%llu.t%u", static_cast<unsigned long long>(ticket),
+                        i);
+  };
+  constexpr std::uint64_t kMaxTicket = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint32_t kMaxIndex = std::numeric_limits<std::uint32_t>::max();
+  for (const std::uint64_t ticket : {std::uint64_t{0}, std::uint64_t{42},
+                                     kMaxTicket}) {
+    NameBuilder name("j", ticket);
+    for (const std::uint32_t i : {0u, 7u, kMaxIndex}) {
+      EXPECT_EQ(name.with(".t", i), task_name(ticket, i));
+      EXPECT_EQ(name.with(".d", i),
+                util::format("j%llu.d%u",
+                             static_cast<unsigned long long>(ticket), i));
+    }
+  }
+  EXPECT_EQ(NameBuilder("j", kMaxTicket).with(".t", kMaxIndex),
+            "j18446744073709551615.t4294967295");
+  for (const std::size_t n : {std::size_t{0}, std::size_t{99999}}) {
+    EXPECT_EQ(NameBuilder("tenant-", n).stem(),
+              util::format("tenant-%zu", n));
   }
 }
 
